@@ -212,6 +212,108 @@ TEST(BatchingCompat, DefaultKnobsFingerprintIdenticalToPreBatching) {
   }
 }
 
+// Golden fingerprints of the batched path (batch queue, flush timer,
+// pipeline window, BATCH-* wire messages, smr-batch/smr-install markers),
+// captured before MinBFT and PBFT were moved onto the shared replica core.
+// Fingerprints hash every delivered payload, so these also pin the wire
+// bytes. The last two specs are shaped like the repo benchmark's workloads
+// (smrbench/), scaled down to a few dozen requests.
+TEST(BatchingCompat, BatchedPathFingerprintsArePinned) {
+  struct Golden {
+    const char* name;
+    ScenarioSpec spec;
+    std::uint64_t completed;
+    const char* fingerprint;
+  };
+  ScenarioSpec minbft_closed;
+  minbft_closed.protocol = ProtocolKind::MinBft;
+  minbft_closed.adversary = AdversaryKind::RandomDelay;
+  minbft_closed.max_delay = 5;
+  minbft_closed.seed = 21;
+  minbft_closed.n = 3;
+  minbft_closed.f = 1;
+  minbft_closed.batch_size = 16;
+  minbft_closed.replica_pipeline = 4;
+  minbft_closed.workload.clients = 4;
+  minbft_closed.workload.requests_per_client = 12;
+  minbft_closed.workload.max_outstanding = 4;
+  minbft_closed.workload.key_space = 16;
+  minbft_closed.workload.seed = 21;
+
+  ScenarioSpec pbft_failover;
+  pbft_failover.protocol = ProtocolKind::Pbft;
+  pbft_failover.adversary = AdversaryKind::RandomDelay;
+  pbft_failover.max_delay = 3;
+  pbft_failover.seed = 22;
+  pbft_failover.n = 4;
+  pbft_failover.f = 1;
+  pbft_failover.workload.clients = 4;
+  pbft_failover.workload.requests_per_client = 10;
+  pbft_failover.workload.open_loop = true;
+  pbft_failover.workload.mean_interarrival = 4;
+  pbft_failover.workload.key_space = 16;
+  pbft_failover.workload.seed = 22;
+  pbft_failover.crashes = {CrashEvent{0, 20}};
+
+  const std::vector<Golden> goldens = {
+      {"minbft-batched-rd-1",
+       ScenarioSpec::materialize_batched(ProtocolKind::MinBft,
+                                         AdversaryKind::RandomDelay, 1),
+       51,
+       "44c188d0972d806d464fee58d44b6bd8490ee0e6455860160e725769e8e3799b"},
+      {"pbft-batched-rd-2",
+       ScenarioSpec::materialize_batched(ProtocolKind::Pbft,
+                                         AdversaryKind::RandomDelay, 2),
+       35,
+       "2f1c2ccdddafdeed66a3ef323e4af558d7ad6dcf36b93ecaa5522e7ada965b9c"},
+      {"minbft-batched-gst-3",
+       ScenarioSpec::materialize_batched(ProtocolKind::MinBft,
+                                         AdversaryKind::Gst, 3),
+       16,
+       "ca5b1fbc0d9be434398e1d5d7501697dc4e0efbfcede12dacdd6dab20dba704f"},
+      {"pbft-batched-gst-4",
+       ScenarioSpec::materialize_batched(ProtocolKind::Pbft,
+                                         AdversaryKind::Gst, 4),
+       12,
+       "aa7c936cdcbe35df3a2d7e72edd2f3ab9a9c1e62bc49ef3b5de688ced1f7228b"},
+      {"minbft-batched-rec-rd-5",
+       ScenarioSpec::materialize_batched_recovery(
+           ProtocolKind::MinBft, AdversaryKind::RandomDelay, 5),
+       26,
+       "66eccde466f0d5c686ab1fbe89e3ca4b949ad01fde7698ee374dce3d72167c05"},
+      {"pbft-batched-rec-rd-6",
+       ScenarioSpec::materialize_batched_recovery(
+           ProtocolKind::Pbft, AdversaryKind::RandomDelay, 6),
+       14,
+       "b520c20c1cd1b32f6e44144743d69e315a5b202fb7d67944807589d23d4611db"},
+      {"minbft-batched-rec-gst-7",
+       ScenarioSpec::materialize_batched_recovery(ProtocolKind::MinBft,
+                                                  AdversaryKind::Gst, 7),
+       16,
+       "dd3319491169f078329657a45291aeac501868bf2edbe17562030687b0cb66f5"},
+      {"pbft-batched-rec-gst-8",
+       ScenarioSpec::materialize_batched_recovery(ProtocolKind::Pbft,
+                                                  AdversaryKind::Gst, 8),
+       20,
+       "93f7bbc0e57f789d9a2cdc95b8e9d8f727bbabf4a604853d8f3f04409bc53815"},
+      {"minbft-n3-b16-p4-closed", minbft_closed, 48,
+       "0b01a114c14e3937aa8f7f27e606aad15aaad0111516077096f9cf775c668bc8"},
+      {"pbft-n4-open-primary-crash", pbft_failover, 40,
+       "74e84fec0ea08845a0b903cea1788d7ddbcec421775feb84274e53f5f7fd0958"},
+  };
+  const InvariantRegistry reg = InvariantRegistry::standard_smr();
+  for (const Golden& g : goldens) {
+    const RunOutcome out = run_scenario(g.spec, reg);
+    EXPECT_FALSE(out.violation.has_value())
+        << g.name << ": " << out.violation->describe();
+    EXPECT_EQ(out.completed, g.completed) << g.name;
+    EXPECT_EQ(unidir::to_hex(ByteSpan(out.fingerprint.data(),
+                                      out.fingerprint.size())),
+              g.fingerprint)
+        << g.name << ": the batched wire protocol changed";
+  }
+}
+
 TEST(BatchingCompat, BatchedKnobsActuallyChangeTheExecution) {
   // The converse guard: if the batched fingerprint ever collapses onto the
   // unbatched one, the knobs silently stopped reaching the replicas.
