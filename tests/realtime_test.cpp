@@ -150,6 +150,30 @@ TEST(RealTimeLoopback, MinBftCommitsAClosedLoopWorkloadOverUdp) {
   EXPECT_EQ(client.completed(), kRequests);
   EXPECT_EQ(client.gave_up(), 0u) << "client abandoned requests";
 
+  // Frame conservation, while every loop still runs: wait for the tail
+  // traffic (late commits and replies) to settle — counters stable across
+  // two reads — then demand sent == received + malformed exactly.
+  auto totals = [&] {
+    std::array<std::uint64_t, 3> sum{};
+    for (auto* c : controls) {
+      const auto us = c->udp_stats();
+      sum[0] += us.frames_sent;
+      sum[1] += us.frames_received;
+      sum[2] += us.frames_malformed;
+    }
+    return sum;
+  };
+  auto prev = totals();
+  for (int i = 0; i < 40; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const auto cur = totals();
+    if (cur == prev && cur[0] == cur[1] + cur[2]) break;
+    prev = cur;
+  }
+  const auto frames = totals();
+  EXPECT_EQ(frames[0], frames[1] + frames[2])
+      << "sent != received + malformed: a frame vanished without a counter";
+
   done.store(true, std::memory_order_relaxed);
   for (auto* c : controls) c->stop();  // wakes any loop parked in a wait
   for (auto& t : threads) t.join();
@@ -170,12 +194,19 @@ TEST(RealTimeLoopback, MinBftCommitsAClosedLoopWorkloadOverUdp) {
 
   // The wire survived: every datagram either decoded through both
   // hardening layers or was counted, and nothing was dropped for want of
-  // an address.
+  // an address. The client and every replica that executed a request
+  // spoke (each execution replies to the client, and a loop flushes its
+  // staged sends before run_until returns). A backup that executed
+  // nothing may legitimately never have sent: f+1 = 2 commits and f+1
+  // replies are all MinBFT needs at n = 4, so one backup whose threads
+  // never got the CPU during the run is a correct execution.
   for (ProcessId p = 0; p < kTotal; ++p) {
     const auto us = controls[p]->udp_stats();
     EXPECT_EQ(us.frames_no_peer, 0u) << "host " << p;
     EXPECT_EQ(us.frames_malformed, 0u) << "host " << p;
-    EXPECT_GT(us.frames_sent, 0u) << "host " << p;
+    if (p == kClientId || replicas[p]->executed_count() > 0) {
+      EXPECT_GT(us.frames_sent, 0u) << "host " << p;
+    }
   }
 }
 
