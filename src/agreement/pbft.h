@@ -16,42 +16,23 @@
 // are exactly the cost of having no non-equivocation device — the primary
 // could assign one sequence number to two commands, and the prepare phase
 // exists to catch that. bench_minbft_vs_pbft measures the difference.
+// Everything else — batching, execution, checkpoints, view change,
+// persistence and state transfer — is the shared ReplicaCore
+// (replica_core.h), run with PBFT's quorum of 2f+1.
 //
-// The view change follows the same simplified certificate-carrying scheme
-// as MinBftReplica (see that header and DESIGN.md), with PBFT-sized
-// quorums (2f+1 view-change messages).
-//
-// Crash recovery (DESIGN.md §9) mirrors MinBftReplica: a durable image at
-// checkpoint/view boundaries, STATE-REQUEST/STATE-REPLY checkpoint state
-// transfer, a NEW-VIEW execution floor, and primacy deferral below the
-// reported stable frontier. PBFT has no trusted device, so there is no
-// RECOVER announcement; instead an honest restarted *primary* must not
-// reuse a sequence number it already assigned (that would be equivocation
-// by amnesia — caught by the prepare phase, but a needless stall), so the
-// primary journals (view, next sequence) durably on every propose.
+// Crash recovery adds one PBFT step (DESIGN.md §9). With no trusted device
+// there is no RECOVER announcement; instead an honest restarted *primary*
+// must not reuse a sequence number it already assigned (that would be
+// equivocation by amnesia — caught by the prepare phase, but a needless
+// stall), so the primary journals (view, next sequence) durably on every
+// propose.
 #pragma once
 
-#include <algorithm>
-#include <deque>
 #include <set>
 
-#include "agreement/client.h"
-#include "agreement/smr.h"
-#include "sim/world.h"
-#include "wire/router.h"
+#include "agreement/replica_core.h"
 
 namespace unidir::agreement {
-
-/// Accepted pre-prepare archived for view changes (same role as
-/// MinBftVcEntry).
-struct PbftVcEntry {
-  ViewNum view = 0;
-  SeqNum seq = 0;
-  Command cmd;
-
-  void encode(serde::Writer& w) const;
-  static PbftVcEntry decode(serde::Reader& r);
-};
 
 /// PBFT's typed wire messages; defined in pbft.cpp, routed by tag through
 /// the replica's wire::Router.
@@ -59,64 +40,13 @@ namespace pbft_wire {
 struct PrePrepare;
 struct Prepare;
 struct Commit;
-struct Checkpoint;
-struct ViewChange;
-struct NewView;
-struct StateRequest;
-struct StateReply;
 struct BatchPrePrepare;
 }  // namespace pbft_wire
 
-class PbftReplica final : public sim::Process {
- public:
-  struct Options {
-    std::vector<ProcessId> replicas;  // ids in rank order; includes self
-    std::size_t f = 0;
-    Time view_change_timeout = 300;
-    SeqNum checkpoint_interval = 16;
-    /// Max client requests amortized into one slot. With the defaults
-    /// (batch_size = 1, pipeline_depth = 1) the replica runs the original
-    /// one-command-per-slot wire protocol bit-for-bit; any other setting
-    /// switches proposals to BATCH-PRE-PREPARE, where the PREPARE/COMMIT
-    /// votes carry the batch digest.
-    std::size_t batch_size = 1;
-    /// How long (ticks) a non-empty partial batch may wait for more
-    /// requests before the primary flushes it anyway. 0 = never hold.
-    Time batch_timeout = 4;
-    /// Max proposed-but-unexecuted slots the primary keeps in flight.
-    std::size_t pipeline_depth = 1;
-  };
-
-  PbftReplica(Options options, std::unique_ptr<StateMachine> machine);
-
-  ViewNum view() const { return view_; }
-  bool is_primary() const { return primary_of(view_) == id(); }
-  const ExecutionLog& execution_log() const { return log_; }
-  std::uint64_t executed_count() const { return log_.size(); }
-  crypto::Digest state_digest() const { return machine_->digest(); }
-  std::uint64_t stable_checkpoint() const { return stable_checkpoint_; }
-  std::uint64_t view_changes_seen() const { return view_changes_; }
-  /// Times this replica came back from a crash.
-  std::uint64_t recoveries() const { return recoveries_; }
-  /// Slots retained for view-change reports (pruned below stable).
-  std::size_t vc_archive_size() const { return vc_archive_.size(); }
-
-  /// Builds a signed PRE-PREPARE wire message outside any replica —
-  /// exposed so adversarial tests can drive Byzantine primaries by hand.
-  static Bytes encode_preprepare_for_test(const crypto::Signer& signer,
-                                          ViewNum view, SeqNum seq,
-                                          const Command& cmd);
-  /// Batched analogue: one signature over the batch digest, so tests can
-  /// plant batches (including malformed ones).
-  static Bytes encode_batch_preprepare_for_test(
-      const crypto::Signer& signer, ViewNum view, SeqNum seq,
-      const std::vector<Command>& cmds);
-
- protected:
-  void on_start() override;
-  void on_recover(sim::DurableStore& durable) override;
-
- private:
+/// What PBFT plugs into the replica core: a slot certified by a signed
+/// pre-prepare, 2f prepares and 2f+1 commits on its digest, and a view
+/// window numbered from sequence 1.
+struct PbftPolicy {
   struct Slot {
     std::vector<Command> cmds;  // the batch, in execution order (size 1 unbatched)
     Bytes digest;  // digest of the command (or batch), as voted on
@@ -129,135 +59,81 @@ class PbftReplica final : public sim::Process {
     std::map<Bytes, std::set<ProcessId>> commits;
   };
 
-  bool batched() const {
-    return options_.batch_size > 1 || options_.pipeline_depth > 1;
-  }
+  struct Position {
+    ViewNum view = 0;
+    SeqNum next_exec = 0;
 
-  ProcessId primary_of(ViewNum v) const {
-    return options_.replicas[static_cast<std::size_t>(v) %
-                             options_.replicas.size()];
-  }
-  std::size_t n() const { return options_.replicas.size(); }
-  bool is_replica(ProcessId p) const;
+    void encode(serde::Writer& w) const;
+    static Position decode(serde::Reader& r);
+  };
 
-  void on_request(ProcessId from, Command cmd);
+  static constexpr std::size_t kQuorumPerFault = 2;  // 2f+1, n >= 3f+1
+  static constexpr SeqNum kFirstSeq = 1;
+  static constexpr const char* kSizeRule = "PBFT requires n >= 3f+1";
+  static constexpr Channel kChannel = kPbftCh;
+  static constexpr std::string_view kDurableKey = "pbft/state";
+  static constexpr wire::MsgDesc kCheckpointMsg{4, "pbft-checkpoint"};
+  static constexpr wire::MsgDesc kViewChangeMsg{5, "pbft-view-change"};
+  static constexpr wire::MsgDesc kNewViewMsg{6, "pbft-new-view"};
+  static constexpr wire::MsgDesc kStateRequestMsg{7, "pbft-state-request"};
+  static constexpr wire::MsgDesc kStateReplyMsg{8, "pbft-state-reply"};
+  static constexpr std::string_view kCheckpointBinding = "pbft-cp";
+  static constexpr std::string_view kViewChangeBinding = "pbft-vc";
+  static constexpr std::string_view kNewViewBinding = "pbft-nv";
+  static constexpr std::string_view kStateBinding = "pbft-state";
+};
+
+extern template class ReplicaCore<PbftPolicy>;
+
+class PbftReplica final : public ReplicaCore<PbftPolicy> {
+ public:
+  using Options = ReplicaOptions;
+
+  PbftReplica(Options options, std::unique_ptr<StateMachine> machine);
+
+  /// Builds a signed PRE-PREPARE wire message outside any replica —
+  /// exposed so adversarial tests can drive Byzantine primaries by hand.
+  static Bytes encode_preprepare_for_test(const crypto::Signer& signer,
+                                          ViewNum view, SeqNum seq,
+                                          const Command& cmd);
+  /// Batched analogue: one signature over the batch digest, so tests can
+  /// plant batches (including malformed ones).
+  static Bytes encode_batch_preprepare_for_test(
+      const crypto::Signer& signer, ViewNum view, SeqNum seq,
+      const std::vector<Command>& cmds);
+
+ private:
+  // ReplicaCore hooks.
+  void propose(const Command& cmd) override;
+  void propose_batch(std::vector<Command> cmds) override;
+  std::size_t inflight_slots() const override {
+    return next_propose_seq_ > next_exec_
+               ? static_cast<std::size_t>(next_propose_seq_ - next_exec_)
+               : 0;
+  }
+  bool committed(const Slot& slot) const override;
+  void reset_view_window() override { next_propose_seq_ = 1; }
+  Position position() const override { return {view_, next_exec_}; }
+  void recovered(sim::DurableStore& durable, const Position* image) override;
+
   void handle_preprepare(ProcessId from, pbft_wire::PrePrepare pp);
   void handle_batch_preprepare(ProcessId from,
                                pbft_wire::BatchPrePrepare pp);
   void handle_prepare(ProcessId from, pbft_wire::Prepare v);
   void handle_commit(ProcessId from, pbft_wire::Commit v);
-  void handle_checkpoint(ProcessId from, pbft_wire::Checkpoint cp);
-  void handle_view_change(ProcessId from, pbft_wire::ViewChange vc);
-  void handle_new_view(ProcessId from, pbft_wire::NewView nv);
-  void handle_state_request(ProcessId from, pbft_wire::StateRequest req);
-  void handle_state_reply(ProcessId from, pbft_wire::StateReply rep);
-
-  // crash recovery (see DESIGN.md §9)
-  void persist();
+  /// The part of PRE-PREPARE handling shared by both wire paths, once the
+  /// primary's signature has verified.
+  void on_preprepare(ProcessId from, ViewNum view, SeqNum seq,
+                     std::vector<Command> cmds, bool batch);
+  /// Opens this primary's own slot for a just-broadcast proposal.
+  void open_own_slot(SeqNum seq, const std::vector<Command>& cmds,
+                     Bytes digest);
   /// Journals (view, next sequence) on every propose, so a restarted
   /// honest primary never reassigns a used sequence number.
   void persist_journal();
-  void prune_stable();
-  void note_checkpoint_vote(std::uint64_t executed, const Bytes& digest,
-                            ProcessId voter);
-  void install_bundle(const pbft_wire::StateReply& b);
-  bool needs_state() const;
-  void begin_state_sync();
-  void send_state_request();
-  void arm_state_retry();
-
-  /// Same role as MinBftReplica::when_in_view: run now if `view` is
-  /// current and stable, buffer for a future view, drop if past.
-  void when_in_view(ViewNum view, std::function<void()> action);
-
-  void propose(const Command& cmd);
-  /// Batched proposal path (see Options::batch_size): queue admission,
-  /// flush policy, and the BATCH-PRE-PREPARE broadcast itself.
-  void enqueue_batch(const Command& cmd);
-  void maybe_flush_batch();
-  void propose_batch(std::vector<Command> cmds);
-  /// Proposed-but-unexecuted slots (the primary's in-flight window).
-  std::size_t inflight_slots() const {
-    return next_propose_seq_ > next_exec_seq_
-               ? static_cast<std::size_t>(next_propose_seq_ - next_exec_seq_)
-               : 0;
-  }
   void step(SeqNum seq);
-  void try_execute();
-  void execute(Slot& slot, SeqNum seq);
-  void reply_to(const Command& cmd, const Bytes& result);
-  void maybe_checkpoint();
 
-  void arm_request_timer(const Command& cmd);
-  void start_view_change(ViewNum target);
-  /// Gives up an unsupported view-change attempt and rejoins the current
-  /// view (replaying the messages buffered during the attempt).
-  void abandon_view_change();
-  void maybe_assume_primacy(ViewNum target);
-  void enter_view(ViewNum v);
-
-  Options options_;
-  std::unique_ptr<StateMachine> machine_;
-  Bytes initial_snapshot_;  // pristine machine state, for blank recoveries
-
-  /// Decode boundaries: client requests, and replica-to-replica protocol
-  /// traffic (with a replicas-only admission filter).
-  wire::Router request_router_;
-  wire::Router protocol_router_;
-
-  ViewNum view_ = 0;
-  bool in_view_change_ = false;
-  ViewNum vc_target_ = 0;
-  // Consecutive failed view-change attempts since the last successful view
-  // entry; doubles the view-change timers up to 64x (see MinBftReplica).
-  std::uint32_t vc_backoff_ = 0;
-  Time vc_timeout() const {
-    return options_.view_change_timeout
-           << std::min<std::uint32_t>(vc_backoff_, 6);
-  }
-
-  std::map<SeqNum, Slot> slots_;  // current-view slots by sequence number
-  SeqNum next_propose_seq_ = 1;   // primary's next sequence number
-  SeqNum next_exec_seq_ = 1;      // next slot to execute (per view)
-
-  std::map<std::pair<ProcessId, std::uint64_t>, Command> pending_;
-  ExecutionDeduper dedup_;
-  ExecutionLog log_;
-
-  // Batched-mode primary state (same semantics as MinBftReplica's).
-  std::deque<Command> batch_queue_;
-  std::set<std::pair<ProcessId, std::uint64_t>> queued_keys_;
-  std::set<std::pair<ProcessId, std::uint64_t>> slotted_keys_;
-  bool batch_ripe_ = false;
-  bool batch_timer_armed_ = false;
-  bool batch_flushing_ = false;
-
-  std::uint64_t stable_checkpoint_ = 0;
-  std::map<std::uint64_t, std::map<Bytes, std::set<ProcessId>>> cp_votes_;
-
-  struct VcReport {
-    std::vector<PbftVcEntry> entries;
-    std::vector<Command> pending;
-    std::uint64_t stable = 0;  // reporter's stable checkpoint
-  };
-  /// Every accepted slot not yet covered by a stable checkpoint.
-  std::vector<PbftVcEntry> vc_archive_;
-  std::map<ViewNum, std::map<ProcessId, VcReport>> vc_msgs_;
-  std::map<ViewNum, std::vector<std::function<void()>>> view_waiting_;
-  std::uint64_t view_changes_ = 0;
-
-  // Crash-recovery state (same semantics as MinBftReplica's).
-  std::uint64_t recoveries_ = 0;
-  std::uint64_t exec_floor_ = 0;
-  std::optional<ViewNum> deferred_primacy_;
-  bool state_probe_ = false;
-  unsigned state_attempts_ = 0;
-
-  // Observability anchors: virtual-time starts for in-progress episodes,
-  // recorded into World::metrics() when the episode ends.
-  Time vc_started_at_ = 0;
-  Time state_sync_started_at_ = 0;
-  Time last_checkpoint_at_ = 0;
+  SeqNum next_propose_seq_ = 1;  // primary's next sequence number
 };
 
 }  // namespace unidir::agreement

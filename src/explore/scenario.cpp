@@ -333,15 +333,6 @@ std::unique_ptr<sim::Adversary> make_adversary(const ScenarioSpec& spec) {
 
 namespace {
 
-/// Type-erased replica accessors: MinBftReplica and PbftReplica share the
-/// introspection surface but no base class.
-struct ReplicaHandle {
-  ProcessId id = kNoProcess;
-  std::function<const agreement::ExecutionLog&()> log;
-  std::function<std::uint64_t()> executed;
-  std::function<crypto::Digest()> digest;
-};
-
 crypto::Digest fingerprint_of(const sim::World& world,
                               std::uint64_t completed, Time final_time) {
   serde::Writer w;
@@ -408,45 +399,28 @@ RunOutcome run_scenario(const ScenarioSpec& spec,
   for (std::uint64_t i = 0; i < spec.n; ++i)
     ids.push_back(static_cast<ProcessId>(i));
 
-  std::vector<ReplicaHandle> handles;
+  agreement::ReplicaOptions ropt;
+  ropt.replicas = ids;
+  ropt.f = static_cast<std::size_t>(spec.f);
+  ropt.view_change_timeout = spec.view_change_timeout;
+  if (spec.checkpoint_interval != 0)
+    ropt.checkpoint_interval = spec.checkpoint_interval;
+  ropt.batch_size = static_cast<std::size_t>(spec.batch_size);
+  ropt.batch_timeout = spec.batch_timeout_ticks;
+  ropt.pipeline_depth = static_cast<std::size_t>(spec.replica_pipeline);
+  std::vector<const agreement::MinBftReplica*> minbft;
+  std::vector<const agreement::PbftReplica*> pbft;
   if (spec.protocol == ProtocolKind::MinBft) {
     usigs = std::make_unique<agreement::SgxUsigDirectory>(world.keys());
-    for (std::uint64_t i = 0; i < spec.n; ++i) {
-      agreement::MinBftReplica::Options o;
-      o.replicas = ids;
-      o.f = static_cast<std::size_t>(spec.f);
-      o.view_change_timeout = spec.view_change_timeout;
-      o.commit_quorum = static_cast<std::size_t>(spec.commit_quorum);
-      if (spec.checkpoint_interval != 0)
-        o.checkpoint_interval = spec.checkpoint_interval;
-      o.batch_size = static_cast<std::size_t>(spec.batch_size);
-      o.batch_timeout = spec.batch_timeout_ticks;
-      o.pipeline_depth = static_cast<std::size_t>(spec.replica_pipeline);
-      auto& r = world.spawn<agreement::MinBftReplica>(
-          o, *usigs, std::make_unique<agreement::KvStateMachine>());
-      handles.push_back({r.id(),
-                         [&r]() -> const auto& { return r.execution_log(); },
-                         [&r] { return r.executed_count(); },
-                         [&r] { return r.state_digest(); }});
-    }
+    const agreement::MinBftReplica::Options o{
+        ropt, static_cast<std::size_t>(spec.commit_quorum)};
+    for (std::uint64_t i = 0; i < spec.n; ++i)
+      minbft.push_back(&world.spawn<agreement::MinBftReplica>(
+          o, *usigs, std::make_unique<agreement::KvStateMachine>()));
   } else {
-    for (std::uint64_t i = 0; i < spec.n; ++i) {
-      agreement::PbftReplica::Options o;
-      o.replicas = ids;
-      o.f = static_cast<std::size_t>(spec.f);
-      o.view_change_timeout = spec.view_change_timeout;
-      if (spec.checkpoint_interval != 0)
-        o.checkpoint_interval = spec.checkpoint_interval;
-      o.batch_size = static_cast<std::size_t>(spec.batch_size);
-      o.batch_timeout = spec.batch_timeout_ticks;
-      o.pipeline_depth = static_cast<std::size_t>(spec.replica_pipeline);
-      auto& r = world.spawn<agreement::PbftReplica>(
-          o, std::make_unique<agreement::KvStateMachine>());
-      handles.push_back({r.id(),
-                         [&r]() -> const auto& { return r.execution_log(); },
-                         [&r] { return r.executed_count(); },
-                         [&r] { return r.state_digest(); }});
-    }
+    for (std::uint64_t i = 0; i < spec.n; ++i)
+      pbft.push_back(&world.spawn<agreement::PbftReplica>(
+          ropt, std::make_unique<agreement::KvStateMachine>()));
   }
 
   agreement::SmrClient::Options copt;
@@ -537,9 +511,14 @@ RunOutcome run_scenario(const ScenarioSpec& spec,
 
   ExplorationContext ctx;
   ctx.world = &world;
-  for (const ReplicaHandle& h : handles)
-    if (world.correct(h.id))
-      ctx.smr.push_back({h.id, &h.log(), h.executed(), h.digest()});
+  auto observe = [&](const auto& replicas) {
+    for (const auto* r : replicas)
+      if (world.correct(r->id()))
+        ctx.smr.push_back({r->id(), &r->execution_log(), r->executed_count(),
+                           r->state_digest()});
+  };
+  observe(minbft);
+  observe(pbft);
   ctx.completed = out.completed;
   ctx.expected = out.expected;
   for (ProcessId p = 0; p < world.size(); ++p)

@@ -110,7 +110,7 @@ INSTANTIATE_TEST_SUITE_P(Protocols, RecoverySweepMatrix,
 //     from the invariant context anyway.
 //
 // From counter 3 onward both branches execute the same commands in
-// lockstep, so the two logs stay the SAME length: install_bundle's strict
+// lockstep, so the two logs stay the SAME length: state install's strict
 // size test can never overwrite either branch, and the fork is frozen into
 // the end state where the registry reads it. The chain digests through the
 // divergence point differ even after pruning (prefix consistency hashes
