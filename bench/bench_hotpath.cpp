@@ -163,9 +163,6 @@ ThroughputResult measure_throughput(int rounds) {
       r.sig.verifies += out.sig.verifies;
       r.sig.memo_hits += out.sig.memo_hits;
       r.sig.macs += out.sig.macs;
-      r.sig.batches += out.sig.batches;
-      r.sig.batch_jobs += out.sig.batch_jobs;
-      r.sig.lane_macs += out.sig.lane_macs;
     }
     const double secs = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
@@ -486,11 +483,6 @@ int main(int argc, char** argv) {
       100.0 * ring_share, tp.sim.peak_pending, 100.0 * memo_rate,
       crypto::Sha256::hardware_accelerated() ? "yes" : "no");
   std::printf(
-      "  verify batches %llu (%llu jobs, %llu lane MACs)\n",
-      static_cast<unsigned long long>(tp.sig.batches),
-      static_cast<unsigned long long>(tp.sig.batch_jobs),
-      static_cast<unsigned long long>(tp.sig.lane_macs));
-  std::printf(
       "  commit latency (virtual ticks): p50 %llu, p95 %llu, p99 %llu, "
       "max %llu over %llu slots\n",
       static_cast<unsigned long long>(tp.commit_latency.quantile(0.50)),
@@ -588,9 +580,6 @@ int main(int argc, char** argv) {
         << "  \"ring_fast_path_share\": " << ring_share << ",\n"
         << "  \"peak_pending\": " << tp.sim.peak_pending << ",\n"
         << "  \"verify_memo_hit_rate\": " << memo_rate << ",\n"
-        << "  \"verify_batches\": " << tp.sig.batches << ",\n"
-        << "  \"verify_batch_jobs\": " << tp.sig.batch_jobs << ",\n"
-        << "  \"verify_lane_macs\": " << tp.sig.lane_macs << ",\n"
         << "  \"sha_ni\": "
         << (crypto::Sha256::hardware_accelerated() ? "true" : "false")
         << ",\n"

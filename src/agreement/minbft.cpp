@@ -382,8 +382,7 @@ void MinBftReplica::on_commit(ProcessId from, ViewNum view,
                               const Bytes& prepare_bind,
                               const Bytes& commit_bind) {
   const ProcessId prepare_author = primary_of(view);
-  // Both attestations as one batch, so their hashing shares the
-  // multi-buffer lanes; both UIs are always checked.
+  // Both attestations are always checked, even when the first fails.
   UsigVerifyJob vj[2] = {
       {prepare_author, &primary_ui, &prepare_bind, false},
       {from, &replica_ui, &commit_bind, false},

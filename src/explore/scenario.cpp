@@ -222,7 +222,6 @@ std::string ScenarioSpec::describe() const {
     os << " batch=" << batch_size << "/t" << batch_timeout_ticks << "/p"
        << replica_pipeline;
   if (workload.enabled()) os << " " << workload.describe();
-  if (verify_threads != 1) os << " vthreads=" << verify_threads;
   return os.str();
 }
 
@@ -254,7 +253,6 @@ void ScenarioSpec::encode(serde::Writer& w) const {
   w.uvarint(batch_timeout_ticks);
   w.uvarint(replica_pipeline);
   workload.encode(w);
-  w.uvarint(verify_threads);
 }
 
 ScenarioSpec ScenarioSpec::decode(serde::Reader& r) {
@@ -295,9 +293,6 @@ ScenarioSpec ScenarioSpec::decode(serde::Reader& r) {
   if (s.replica_pipeline == 0)
     throw serde::DecodeError("replica_pipeline must be >= 1");
   s.workload = sim::WorkloadSpec::decode(r);
-  s.verify_threads = r.uvarint();
-  if (s.verify_threads > 256)
-    throw serde::DecodeError("verify_threads exceeds 256");
   return s;
 }
 
@@ -333,23 +328,37 @@ std::unique_ptr<sim::Adversary> make_adversary(const ScenarioSpec& spec) {
 
 namespace {
 
+/// SHA-256 over (completed, final_time, every transcript in order). Each
+/// event's header is serialised on its own and streamed into the hash,
+/// with the payload fed straight from its shared buffer, so memory stays
+/// bounded by one header rather than by the whole run. The hashed bytes
+/// are exactly one serde::Writer's encoding of all those fields: the
+/// pinned golden fingerprints depend on it.
 crypto::Digest fingerprint_of(const sim::World& world,
                               std::uint64_t completed, Time final_time) {
-  serde::Writer w;
-  w.uvarint(completed);
-  w.uvarint(final_time);
+  crypto::Sha256 h;
+  const auto absorb = [&h](const serde::Writer& w) { h.update(w.buffer()); };
+  serde::Writer head;
+  head.uvarint(completed);
+  head.uvarint(final_time);
+  absorb(head);
   for (ProcessId p = 0; p < world.size(); ++p) {
     const std::vector<sim::ObservedEvent>& evs = world.transcript(p).events();
-    w.uvarint(evs.size());
+    serde::Writer count;
+    count.uvarint(evs.size());
+    absorb(count);
     for (const sim::ObservedEvent& ev : evs) {
+      serde::Writer w;
       w.u8(static_cast<std::uint8_t>(ev.kind));
       w.uvarint(ev.from);
       w.uvarint(ev.channel);
       w.str(ev.tag);
-      w.bytes(ev.payload);
+      w.uvarint(ev.payload.size());  // serde::Writer::bytes' length prefix
+      absorb(w);
+      h.update(ev.payload);
     }
   }
-  return crypto::Sha256::hash(w.buffer());
+  return h.finish();
 }
 
 }  // namespace
@@ -387,8 +396,6 @@ RunOutcome run_scenario(const ScenarioSpec& spec,
   // The USIG directory must outlive the world whose replicas reference it.
   std::unique_ptr<agreement::SgxUsigDirectory> usigs;
   sim::World world(spec.seed, std::move(adversary));
-  if (spec.verify_threads != 1)
-    world.set_verify_threads(static_cast<std::size_t>(spec.verify_threads));
 
   RunOutcome out;
   world.network().set_observer(

@@ -295,10 +295,22 @@ TEST(DurableFileUsig, SealedCounterWrittenThroughNvramSurvivesPowerLoss) {
   const Bytes* sealed = store.get("usig/sealed");
   ASSERT_NE(sealed, nullptr);
   usig.load_state(*sealed);
+  // The sink above captured the closed store; re-point it at the reopened
+  // one, as a restarted replica wires its nvram to its new store.
+  usig.set_nvram([&store](const Bytes& blob) {
+    store.put("usig/sealed", blob);
+  });
   const auto ui = usig.create_ui(bytes_of("m3"));
   EXPECT_EQ(ui.counter, 3u) << "restored counter must continue, not rewind";
   EXPECT_TRUE(trusted::UsigEnclave::verify_ui(keys, usig.key(), ui,
                                               bytes_of("m3")));
+  // Counter 3 reached disk before the UI escaped: a further power loss
+  // reloads it, not counter 2.
+  const FileDurableStore reread(dir);
+  const Bytes* after = reread.get("usig/sealed");
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(*after, usig.save_state());
+  EXPECT_EQ(serde::decode<SeqNum>(*after), 3u);
 }
 
 TEST(DurableFileUsig, VolatileCounterRewindsAfterPowerLoss) {
