@@ -248,5 +248,61 @@ TEST(Scenario, MutatedCommitQuorumKnobRoundTrips) {
   EXPECT_EQ(ScenarioSpec::from_hex(spec.to_hex()).commit_quorum, spec.n);
 }
 
+// A spec carrying one more field than the format defines — e.g. a replay
+// snippet from a build whose specs ended with a verify-thread count — is
+// refused rather than silently decoded as something else.
+TEST(ScenarioSpec, DecodeRejectsTrailingBytes) {
+  const ScenarioSpec spec = ScenarioSpec::materialize_batched(
+      ProtocolKind::MinBft, AdversaryKind::RandomDelay, 4);
+  EXPECT_EQ(ScenarioSpec::from_hex(spec.to_hex()), spec);
+  EXPECT_THROW((void)ScenarioSpec::from_hex(spec.to_hex() + "04"),
+               serde::DecodeError);
+}
+
+// Verification runs inline on one path: a run publishes the memo's three
+// counters, agreeing with the outcome, and no pool or batch-lane counters.
+TEST(Scenario, PublishesOnlyTheSerialVerifyCounters) {
+  ScenarioSpec spec = ScenarioSpec::materialize_batched(
+      ProtocolKind::MinBft, AdversaryKind::Immediate, 2);
+  spec.trace = true;
+  const RunOutcome out =
+      run_scenario(spec, InvariantRegistry::standard_smr());
+  ASSERT_FALSE(out.violation.has_value()) << spec.describe();
+  EXPECT_GT(out.sig.verifies, 0u);
+  EXPECT_EQ(out.metrics.counters.count("sig.verifies"), 1u);
+  EXPECT_EQ(out.metrics.counter_or("sig.verifies", 0), out.sig.verifies);
+  EXPECT_EQ(out.metrics.counter_or("sig.memo_hits", 0), out.sig.memo_hits);
+  EXPECT_EQ(out.metrics.counter_or("sig.macs", 0), out.sig.macs);
+  for (const auto& [name, value] : out.metrics.counters) {
+    EXPECT_NE(name.rfind("runner.", 0), 0u) << name;
+    EXPECT_NE(name, "sig.batches");
+    EXPECT_NE(name, "sig.batch_jobs");
+    EXPECT_NE(name, "sig.lane_macs");
+    EXPECT_NE(name, "sig.lanes");
+  }
+}
+
+// The verification memo lives in each run's own KeyRegistry: running the
+// same batched spec twice in one process (warm caches, same statics)
+// repeats the fingerprint and every signature counter exactly.
+TEST(Scenario, BatchedRunsRepeatExactlyInOneProcess) {
+  const InvariantRegistry reg = InvariantRegistry::standard_smr();
+  for (const auto protocol : {ProtocolKind::MinBft, ProtocolKind::Pbft}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      const ScenarioSpec spec = ScenarioSpec::materialize_batched(
+          protocol, AdversaryKind::RandomDelay, seed);
+      const RunOutcome a = run_scenario(spec, reg);
+      const RunOutcome b = run_scenario(spec, reg);
+      ASSERT_FALSE(a.violation.has_value()) << spec.describe();
+      EXPECT_EQ(a.fingerprint, b.fingerprint) << spec.describe();
+      EXPECT_EQ(a.completed, b.completed);
+      EXPECT_EQ(a.final_time, b.final_time);
+      EXPECT_EQ(a.sig.verifies, b.sig.verifies);
+      EXPECT_EQ(a.sig.memo_hits, b.sig.memo_hits);
+      EXPECT_EQ(a.sig.macs, b.sig.macs);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace unidir::explore

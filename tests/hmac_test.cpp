@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "crypto/hmac.h"
+#include "sim/rng.h"
 
 namespace unidir::crypto {
 namespace {
@@ -52,6 +55,64 @@ TEST(Hmac, MessageSensitivity) {
 TEST(Hmac, EmptyKeyAndMessageAccepted) {
   const Digest d = hmac_sha256({}, {});
   EXPECT_EQ(d.size(), kSha256DigestSize);
+}
+
+Bytes random_bytes(sim::Rng& rng, std::size_t len) {
+  Bytes b(len);
+  for (auto& c : b) c = static_cast<std::uint8_t>(rng.below(256));
+  return b;
+}
+
+// RFC 2104 spelled out on plain SHA-256, with no cached midstates:
+// H((K ^ opad) || H((K ^ ipad) || m)), K zero-padded (hashed if > 64 bytes).
+Digest reference_hmac(const Bytes& key, const Bytes& msg) {
+  Bytes k = key;
+  if (k.size() > 64) {
+    const Digest kd = Sha256::hash(k);
+    k.assign(kd.begin(), kd.end());
+  }
+  k.resize(64, 0);
+  Bytes inner;
+  Bytes outer;
+  for (std::uint8_t b : k) {
+    inner.push_back(static_cast<std::uint8_t>(b ^ 0x36));
+    outer.push_back(static_cast<std::uint8_t>(b ^ 0x5c));
+  }
+  inner.insert(inner.end(), msg.begin(), msg.end());
+  const Digest inner_digest = Sha256::hash(inner);
+  outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+  return Sha256::hash(outer);
+}
+
+TEST(Hmac, KeyScheduleMatchesTheRfc2104Construction) {
+  sim::Rng rng(11);
+  for (std::size_t key_len : {0u, 1u, 32u, 63u, 64u, 65u, 100u, 200u}) {
+    const Bytes key = random_bytes(rng, key_len);
+    for (std::size_t msg_len : {0u, 1u, 55u, 64u, 119u, 300u}) {
+      const Bytes msg = random_bytes(rng, msg_len);
+      EXPECT_EQ(hmac_sha256(key, msg), reference_hmac(key, msg))
+          << "key " << key_len << ", message " << msg_len;
+    }
+  }
+}
+
+TEST(Hmac, OneKeyScheduleServesManyMessages) {
+  // The KeyRegistry keeps one HmacKey per key for its whole life: mac()
+  // must resume the cached midstates without consuming them, so results
+  // do not depend on how many MACs came before or in what order.
+  sim::Rng rng(7);
+  const Bytes key = random_bytes(rng, 32);
+  const HmacKey schedule{key};
+  std::vector<Bytes> msgs;
+  for (int rep = 0; rep < 40; ++rep)
+    msgs.push_back(random_bytes(rng, rng.below(200)));
+
+  std::vector<Digest> first;
+  for (const Bytes& m : msgs) first.push_back(schedule.mac(m));
+  for (std::size_t i = msgs.size(); i-- > 0;) {
+    EXPECT_EQ(schedule.mac(msgs[i]), first[i]) << "message " << i;
+    EXPECT_EQ(first[i], reference_hmac(key, msgs[i])) << "message " << i;
+  }
 }
 
 }  // namespace

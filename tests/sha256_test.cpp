@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/check.h"
 #include "crypto/sha256.h"
+#include "sim/rng.h"
 
 namespace unidir::crypto {
 namespace {
@@ -94,6 +97,65 @@ TEST(Sha256, DistinctInputsDistinctDigests) {
     seen.insert(to_hex(ByteSpan(d.data(), d.size())));
   }
   EXPECT_EQ(seen.size(), 1000u);
+}
+
+Bytes random_bytes(sim::Rng& rng, std::size_t len) {
+  Bytes b(len);
+  for (auto& c : b) c = static_cast<std::uint8_t>(rng.below(256));
+  return b;
+}
+
+TEST(Sha256, SeamSizesAndRandomSpreadMatchAcrossChunkings) {
+  // Padding-seam and block-boundary sizes, then a randomized spread, each
+  // fed in random-sized chunks: every chunking exercises a different mix
+  // of the buffered path and the multi-block fast path.
+  sim::Rng rng(42);
+  std::vector<Bytes> msgs;
+  for (std::size_t len : {0u, 1u, 55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u,
+                          127u, 128u, 129u, 200u, 1000u})
+    msgs.push_back(random_bytes(rng, len));
+  for (int rep = 0; rep < 50; ++rep)
+    msgs.push_back(random_bytes(rng, rng.below(300)));
+
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    const Bytes& m = msgs[i];
+    const Digest whole = Sha256::hash(m);
+    for (int chunking = 0; chunking < 4; ++chunking) {
+      Sha256 h;
+      std::size_t at = 0;
+      while (at < m.size()) {
+        const std::size_t take =
+            std::min<std::size_t>(m.size() - at, 1 + rng.below(150));
+        h.update(ByteSpan(m.data() + at, take));
+        at += take;
+      }
+      EXPECT_EQ(h.finish(), whole)
+          << "message " << i << " (len " << m.size() << "), chunking "
+          << chunking;
+    }
+  }
+}
+
+TEST(Sha256, CopyResumesFromTheSameMidstate) {
+  // HmacKey caches block-aligned midstates and copies them per MAC; a copy
+  // taken at any point (aligned or mid-block) must continue exactly as the
+  // original would, and hashing on one copy must not disturb the other.
+  sim::Rng rng(7);
+  for (std::size_t prefix_len : {0u, 1u, 63u, 64u, 65u, 128u, 200u}) {
+    const Bytes prefix = random_bytes(rng, prefix_len);
+    Sha256 base;
+    base.update(prefix);
+    for (int rep = 0; rep < 5; ++rep) {
+      const Bytes suffix = random_bytes(rng, rng.below(150));
+      Sha256 resumed = base;
+      resumed.update(suffix);
+      Bytes joined = prefix;
+      joined.insert(joined.end(), suffix.begin(), suffix.end());
+      EXPECT_EQ(resumed.finish(), Sha256::hash(joined))
+          << "prefix " << prefix_len << ", suffix " << suffix.size();
+    }
+    EXPECT_EQ(base.finish(), Sha256::hash(prefix)) << "prefix " << prefix_len;
+  }
 }
 
 }  // namespace
