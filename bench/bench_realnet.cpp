@@ -4,9 +4,9 @@
 // Everything else in bench/ measures the simulator; this binary measures
 // the real backend (DESIGN.md §13/§15): four replica Worlds, each on its
 // own RealRuntime with its own UDP socket and OS thread, plus one client
-// World whose sharded RealRuntime hosts an SmrClient fleet — the dsnet
-// bench-client shape, in-process so CI can run it. Workloads come from
-// sim/workload.h specs: the curve points are closed-loop fleets of
+// World whose RealRuntime hosts an SmrClient fleet on its single loop —
+// the dsnet bench-client shape, in-process so CI can run it. Workloads
+// come from sim/workload.h specs: the curve points are closed-loop fleets of
 // increasing concurrency (offered load collapses when latency grows, so
 // the knee is honest), and the frame-conservation run is a paced open-loop
 // fleet (no overload, so loopback UDP loses nothing and the send/receive
@@ -30,11 +30,10 @@
 //     counter and the identity was uncheckable.
 //
 // Usage:
-//   bench_realnet [--smoke] [--check] [--out FILE] [--shards K]
-//                 [--portable] [--seed S]
+//   bench_realnet [--smoke] [--check] [--out FILE] [--portable] [--seed S]
 //   --smoke     tiny workload (CI): 2 curve points' worth of requests
-//   --check     enforce gates (conservation exact, syscall ratios, shard
-//               balance) and exit 1 on violation
+//   --check     enforce gates (conservation exact, syscall ratios) and
+//               exit 1 on violation
 //   --portable  force the one-datagram recvfrom/sendto path everywhere
 #include <algorithm>
 #include <atomic>
@@ -69,7 +68,6 @@ struct ClusterConfig {
   std::uint64_t requests_per_client = 8;
   bool open_loop = false;
   Time mean_interarrival = 10;   // open-loop pacing, in ticks
-  std::size_t shards = 2;        // client runtime event-loop shards
   std::uint64_t tick_us = 200;
   std::uint64_t seed = 7;
   std::uint64_t timeout_s = 60;
@@ -84,7 +82,6 @@ struct ClusterResult {
   double wall_secs = 0;
   std::vector<Time> latencies;  // ticks, all clients, completion order
   runtime::UdpTransportStats totals{};  // summed over every runtime
-  std::vector<runtime::RuntimeStats> client_shards;
   bool receiver_dead = false;
   bool timed_out = false;
 };
@@ -125,7 +122,7 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
   // cross-wire the peer tables once all ports are known. Runtime index i
   // < replicas serves replica i; the last one serves the whole client
   // fleet (all client ids share its socket — frames carry the destination
-  // id, and the sharded loop routes each to its owner's shard).
+  // id, and the World dispatches each to its client).
   std::vector<std::unique_ptr<runtime::RealRuntime>> rts;
   for (std::size_t i = 0; i <= cfg.replicas; ++i) {
     runtime::RealRuntimeOptions ropt;
@@ -133,7 +130,6 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
     ropt.listen = "127.0.0.1:0";
     ropt.use_recvmmsg = cfg.use_mmsg;
     ropt.use_sendmmsg = cfg.use_mmsg;
-    if (i == cfg.replicas) ropt.shards = cfg.shards;
     rts.push_back(std::make_unique<runtime::RealRuntime>(ropt));
   }
   std::vector<std::uint16_t> ports;
@@ -198,12 +194,9 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
   spec.seed = cfg.seed + 1;
   const auto plans = spec.plan();
 
-  // The run_until predicate executes on the client runtime's shard 0
-  // while other shards run handlers, so it may read ONLY atomics —
-  // SmrClient counters are shard-confined. Completion is therefore
-  // counted through the done callbacks (which run on the owning shard)
-  // into one shared atomic.
-  std::atomic<std::uint64_t> done{0};
+  // Completion is counted through the done callbacks, which run on the
+  // client loop, into one counter the run_until predicate reads.
+  std::uint64_t done = 0;
   auto op_for = [](std::uint64_t key, std::uint64_t i) {
     const std::string k = "k" + std::to_string(key);
     return i % 3 == 2 ? KvStateMachine::get_op(k)
@@ -213,12 +206,10 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
     const auto& arrivals = plans[c].arrivals;
     for (std::size_t i = 0; i < arrivals.size(); ++i) {
       Bytes op = op_for(arrivals[i].key, i);
-      auto done_cb = [&done](const Bytes&) {
-        done.fetch_add(1, std::memory_order_relaxed);
-      };
+      auto done_cb = [&done](const Bytes&) { ++done; };
       if (cfg.open_loop) {
-        // Pre-run arm: the submission fires on the owning client's shard
-        // at its planned arrival tick, completions notwithstanding.
+        // Pre-run arm: the submission fires at its planned arrival tick,
+        // completions notwithstanding.
         SmrClient* cl = fleet[c];
         cworld.runtime().arm_for(
             static_cast<ProcessId>(cfg.replicas + c), arrivals[i].at,
@@ -256,18 +247,17 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
   const auto t0 = SteadyClock::now();
   cworld.run_until(
       [&] {
-        return done.load(std::memory_order_relaxed) >= res.offered ||
+        return done >= res.offered ||
                client_rt->stats().receiver_dead ||
                SteadyClock::now() >= deadline;
       },
       SIZE_MAX);
   res.wall_secs =
       std::chrono::duration<double>(SteadyClock::now() - t0).count();
-  res.timed_out = SteadyClock::now() >= deadline &&
-                  done.load(std::memory_order_relaxed) < res.offered;
+  res.timed_out = SteadyClock::now() >= deadline && done < res.offered;
 
-  // The client loops have joined (run_until returns after its internal
-  // shard threads exit), so fleet state is safe to read from here.
+  // The client loop ran on this thread and has returned, so fleet state is
+  // safe to read from here.
   for (SmrClient* cl : fleet) {
     res.completed += cl->completed();
     res.gave_up += cl->gave_up();
@@ -297,8 +287,6 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
     }
   }
   res.totals = totals_now();
-  for (std::size_t s = 0; s < client_rt->execution_shards(); ++s)
-    res.client_shards.push_back(client_rt->shard_stats(s));
   res.receiver_dead = res.totals.receiver_dead;
 
   stop_replicas.store(true, std::memory_order_relaxed);
@@ -328,7 +316,6 @@ struct CurvePoint {
 int main(int argc, char** argv) {
   bool smoke = false, check = false, portable = false;
   std::string out = "BENCH_realnet.json";
-  std::size_t shards = 2;
   std::uint64_t seed = 7;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -336,14 +323,12 @@ int main(int argc, char** argv) {
     else if (flag == "--check") check = true;
     else if (flag == "--portable") portable = true;
     else if (flag == "--out" && i + 1 < argc) out = argv[++i];
-    else if (flag == "--shards" && i + 1 < argc)
-      shards = std::strtoul(argv[++i], nullptr, 10);
     else if (flag == "--seed" && i + 1 < argc)
       seed = std::strtoull(argv[++i], nullptr, 10);
     else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--check] [--portable] "
-                   "[--out FILE] [--shards K] [--seed S]\n",
+                   "[--out FILE] [--seed S]\n",
                    argv[0]);
       return 2;
     }
@@ -355,7 +340,6 @@ int main(int argc, char** argv) {
 #endif
 
   ClusterConfig base;
-  base.shards = shards;
   base.seed = seed;
   base.use_mmsg = !portable;
   base.timeout_s = smoke ? 30 : 60;
@@ -459,13 +443,6 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  std::uint64_t shard_exec_min = UINT64_MAX, shard_exec_max = 0;
-  for (const auto& ss : sat->res.client_shards) {
-    shard_exec_min = std::min(shard_exec_min, ss.executed);
-    shard_exec_max = std::max(shard_exec_max, ss.executed);
-  }
-  if (sat->res.client_shards.empty()) shard_exec_min = 0;
-
   // ---- report ---------------------------------------------------------------
   FILE* fp = std::fopen(out.c_str(), "w");
   if (fp == nullptr) {
@@ -478,7 +455,6 @@ int main(int argc, char** argv) {
   std::fprintf(fp, "  \"tick_us\": %llu,\n",
                static_cast<unsigned long long>(base.tick_us));
   std::fprintf(fp, "  \"replicas\": %zu,\n", base.replicas);
-  std::fprintf(fp, "  \"client_shards\": %zu,\n", shards);
   std::fprintf(fp, "  \"recv_batch\": 32,\n");
   std::fprintf(fp, "  \"send_batch\": 64,\n");
   std::fprintf(fp, "  \"mmsg_compiled\": %s,\n",
@@ -524,10 +500,6 @@ int main(int argc, char** argv) {
   std::fprintf(
       fp, "  \"sat_frames_malformed\": %llu,\n",
       static_cast<unsigned long long>(sat->res.totals.frames_malformed));
-  std::fprintf(fp, "  \"sat_shard_executed_min\": %llu,\n",
-               static_cast<unsigned long long>(shard_exec_min));
-  std::fprintf(fp, "  \"sat_shard_executed_max\": %llu,\n",
-               static_cast<unsigned long long>(shard_exec_max));
   std::fprintf(fp, "  \"receiver_dead\": %s,\n",
                (sat->res.receiver_dead || cons.receiver_dead) ? "true"
                                                               : "false");
@@ -583,12 +555,6 @@ int main(int argc, char** argv) {
                    "CHECK FAIL: recv syscalls/datagram %.4f at saturation "
                    "(recvmmsg is not batching)\n",
                    spd);
-      ok = false;
-    }
-    if (shards >= 2 && shard_exec_min == 0) {
-      std::fprintf(stderr,
-                   "CHECK FAIL: an event-loop shard executed nothing "
-                   "(fleet is not actually sharded)\n");
       ok = false;
     }
   }

@@ -174,7 +174,6 @@ struct RealConfig {
   std::uint64_t vc_timeout_ticks = 0;  // 0: protocol default
   std::uint64_t chain_interval = 0;  // chains= sample stride; 0: ckpt interval
   std::uint64_t think_ticks = 0;     // client gap between requests
-  std::size_t shards = 1;        // event-loop shards (processes pin by id)
   std::size_t recv_batch = 32;   // datagrams per recvmmsg burst
   std::size_t send_batch = 64;   // frames coalesced per sendmmsg flush
 };
@@ -187,7 +186,7 @@ void usage(const char* argv0) {
       "          [--replicas R] [--requests N] [--tick-us T] [--seed S]\n"
       "          [--timeout-s W] [--durable-dir D] [--volatile-usig]\n"
       "          [--fault-plan F] [--max-attempts A] [--vc-timeout-ticks V]\n"
-      "          [--chain-interval C] [--think-ticks G] [--shards K]\n"
+      "          [--chain-interval C] [--think-ticks G]\n"
       "          [--recv-batch B] [--send-batch B]\n"
       "          (one real UDP process of a cluster)\n"
       "peer list entry i is process i's endpoint; ids [0,R) are replicas,\n"
@@ -257,8 +256,6 @@ bool parse_args(int argc, char** argv, RealConfig& cfg) {
       cfg.chain_interval = std::strtoull(v, nullptr, 10);
     else if (flag == "--think-ticks" && (v = value()))
       cfg.think_ticks = std::strtoull(v, nullptr, 10);
-    else if (flag == "--shards" && (v = value()))
-      cfg.shards = std::strtoul(v, nullptr, 10);
     else if (flag == "--recv-batch" && (v = value()))
       cfg.recv_batch = std::strtoul(v, nullptr, 10);
     else if (flag == "--send-batch" && (v = value()))
@@ -332,17 +329,9 @@ int run_real(const RealConfig& cfg) {
     plan.seed = plan.seed * 1000003 + cfg.id;
   }
 
-  if (plan.any_faults() && cfg.shards > 1) {
-    std::fprintf(stderr,
-                 "--fault-plan needs --shards 1 (FaultyTransport is not "
-                 "shard-safe)\n");
-    return 2;
-  }
-
   runtime::RealRuntimeOptions ropt;
   ropt.tick_ns = cfg.tick_us * 1000;
   ropt.listen = cfg.listen;
-  ropt.shards = cfg.shards;
   ropt.recv_batch = cfg.recv_batch;
   ropt.send_batch = cfg.send_batch;
   ropt.corrupt_tx_per_million = plan.corrupt_per_million;

@@ -80,7 +80,8 @@ class SmrClient final : public sim::Process {
     DoneFn done;
     Time issued_at = 0;
     std::size_t attempts = 0;  // sends so far (first send included)
-    std::map<Bytes, std::set<ProcessId>> votes;  // result -> replicas
+    // result -> replicas
+    std::map<Bytes, std::set<ProcessId>, BytesLess> votes;
   };
 
   void issue_ready();

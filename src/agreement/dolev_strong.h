@@ -80,8 +80,8 @@ class DolevStrongBroadcast {
   Options options_;
   wire::Router router_;
   CommitFn on_commit_;
-  std::set<Bytes> extracted_;           // accepted values
-  std::vector<Chain> pending_relays_;   // chains to extend next round
+  std::set<Bytes, BytesLess> extracted_;  // accepted values
+  std::vector<Chain> pending_relays_;     // chains to extend next round
   bool committed_ = false;
   std::optional<Bytes> value_;
 };
@@ -116,7 +116,7 @@ class StrongAgreement {
   CommitFn on_commit_;
   std::vector<std::unique_ptr<DolevStrongBroadcast>> instances_;
   std::size_t done_ = 0;
-  std::map<Bytes, std::size_t> tally_;
+  std::map<Bytes, std::size_t, BytesLess> tally_;
   bool committed_ = false;
   Bytes value_;
 };

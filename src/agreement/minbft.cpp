@@ -388,7 +388,6 @@ void MinBftReplica::on_commit(ProcessId from, ViewNum view,
       {from, &replica_ui, &commit_bind, false},
   };
   usigs_.verify_batch(vj, 2);
-  world().wire_stats().note_verify_batch(kMinBftCh, 2);
   if (!vj[0].ok || !vj[1].ok) return;
   // Double sequencing: the commit is ordered in the sender's UI stream,
   // and the embedded PREPARE in the primary's.

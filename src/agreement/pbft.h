@@ -55,8 +55,9 @@ struct PbftPolicy {
     bool sent_commit = false;
     bool executed = false;
     Time accepted_at = 0;  // when this replica first saw the pre-prepare
-    std::map<Bytes, std::set<ProcessId>> prepares;  // digest -> voters
-    std::map<Bytes, std::set<ProcessId>> commits;
+    // digest -> voters
+    std::map<Bytes, std::set<ProcessId>, BytesLess> prepares;
+    std::map<Bytes, std::set<ProcessId>, BytesLess> commits;
   };
 
   struct Position {

@@ -322,7 +322,8 @@ class ReplicaCore : public sim::Process {
 
   // Checkpoints.
   std::uint64_t stable_checkpoint_ = 0;
-  std::map<std::uint64_t, std::map<Bytes, std::set<ProcessId>>> cp_votes_;
+  std::map<std::uint64_t, std::map<Bytes, std::set<ProcessId>, BytesLess>>
+      cp_votes_;
 
   // View-change bookkeeping.
   struct VcReport {

@@ -45,8 +45,8 @@ class BrachaEndpoint final : public SrbEndpoint {
     bool accepted = false;
     std::optional<Bytes> initial;  // first INITIAL seen from the sender
     // votes: value -> set of processes that ECHOed / READIed it.
-    std::map<Bytes, std::set<ProcessId>> echoes;
-    std::map<Bytes, std::set<ProcessId>> readies;
+    std::map<Bytes, std::set<ProcessId>, BytesLess> echoes;
+    std::map<Bytes, std::set<ProcessId>, BytesLess> readies;
   };
 
   void handle(ProcessId from, Type type, ProcessId sender, SeqNum seq,

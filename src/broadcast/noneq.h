@@ -55,7 +55,7 @@ class NonEqBroadcast {
   ProcessId sender_;
   /// Validly sender-signed values observed, with their signatures
   /// (≥2 entries means equivocation).
-  std::map<Bytes, crypto::Signature> seen_;
+  std::map<Bytes, crypto::Signature, BytesLess> seen_;
   bool committed_ = false;
   std::optional<Bytes> value_;
 };

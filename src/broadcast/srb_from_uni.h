@@ -164,7 +164,7 @@ class UniSrbEndpoint final : public SrbEndpoint {
     std::map<ProcessId, L1Proof> l1s;       // matching L1s incl. own
     /// Distinct sender-signed messages seen for (sender, next) — ≥2 means
     /// equivocation.
-    std::set<Bytes> seen_msgs;
+    std::set<Bytes, BytesLess> seen_msgs;
 
     void reset_for_next_seq() {
       phase = Phase::WaitForSender;

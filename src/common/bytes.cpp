@@ -1,5 +1,6 @@
 #include "common/bytes.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -59,6 +60,12 @@ std::uint64_t fnv1a64(ByteSpan data) {
     h *= 0x100000001B3ULL;
   }
   return h;
+}
+
+bool BytesLess::operator()(const Bytes& a, const Bytes& b) const {
+  const std::size_t n = std::min(a.size(), b.size());
+  const int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
+  return c != 0 ? c < 0 : a.size() < b.size();
 }
 
 std::uint64_t fingerprint64(ByteSpan data) {

@@ -44,4 +44,12 @@ std::uint64_t fnv1a64(ByteSpan data);
 /// collision is tolerated (see KeyRegistry), never for authentication.
 std::uint64_t fingerprint64(ByteSpan data);
 
+/// Lexicographic order on Bytes — the same order as std::less<Bytes>, for
+/// std::map/std::set keys. Defined out of line: where GCC 12 inlines
+/// std::vector's operator<=> into some tree inserts, its range analysis
+/// reports a spurious -Wstringop-overread on the memcmp.
+struct BytesLess {
+  bool operator()(const Bytes& a, const Bytes& b) const;
+};
+
 }  // namespace unidir

@@ -10,7 +10,9 @@
 //
 // Thread-safety: the refcount is atomic (shared_ptr), so Payloads may be
 // *owned* by different threads — the ParallelRunner relies on this only in
-// the trivial sense that each simulated world is confined to one thread.
+// the trivial sense that each simulated world is confined to one thread,
+// and RealRuntime's receiver thread hands each payload it decodes to the
+// event loop through the inbox mutex, after which only the loop touches it.
 // The lazy hash cache is NOT synchronized; two threads must not race fnv()
 // on Payloads sharing one buffer. World-confined payloads never do.
 #pragma once
@@ -33,8 +35,14 @@ class Payload {
       : data_(bytes.empty() ? nullptr
                             : std::make_shared<Shared>(std::move(bytes))) {}
 
+  /// Copies `data` into a fresh buffer. Built in place rather than through
+  /// the Bytes constructor: once inlined into a caller, GCC 12's flow
+  /// analysis of that form reports a spurious -Wfree-nonheap-object.
   static Payload copy_of(ByteSpan data) {
-    return Payload(Bytes(data.begin(), data.end()));
+    Payload p;
+    if (!data.empty())
+      p.data_ = std::make_shared<Shared>(Bytes(data.begin(), data.end()));
+    return p;
   }
 
   const Bytes& bytes() const { return data_ ? data_->bytes : empty_bytes(); }

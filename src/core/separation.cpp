@@ -216,7 +216,7 @@ class RbVwaProcess final : public sim::Process {
  private:
   std::unique_ptr<broadcast::SrbHubEndpoint> endpoint_;
   std::set<ProcessId> senders_;
-  std::set<Bytes> values_;
+  std::set<Bytes, BytesLess> values_;
 };
 
 struct VwaRun {

@@ -149,12 +149,4 @@ void MetricsRegistry::clear() {
   histograms_.clear();
 }
 
-void MetricsRegistry::merge_from(MetricsRegistry& other) {
-  for (const auto& [name, value] : other.counters_) add(name, value);
-  for (const auto& [name, value] : other.gauges_) set_gauge(name, value);
-  for (const auto& [name, h] : other.histograms_)
-    histogram(name).merge(h.data());
-  other.clear();
-}
-
 }  // namespace unidir::obs

@@ -104,13 +104,6 @@ class MetricsRegistry {
   MetricsSnapshot snapshot() const;
   void clear();
 
-  /// Folds `other` into this registry and clears it: counters add,
-  /// histograms merge (bounds must match — every histogram here uses the
-  /// default tick bounds), gauges overwrite. The fold half of the World's
-  /// per-execution-shard registries; draining keeps repeated folds from
-  /// double-counting.
-  void merge_from(MetricsRegistry& other);
-
  private:
   std::map<std::string, std::uint64_t, std::less<>> counters_;
   std::map<std::string, std::int64_t, std::less<>> gauges_;

@@ -1,25 +1,20 @@
-// Sharded, batched implementation of the real-time backend. Layout:
+// Single-loop, batched implementation of the real-time backend. Layout:
 //
-//   timers      — per-shard binary heap + id->fn map; cancel leaves a
-//                 tombstone in the heap and erases the fn (and the
-//                 pending-event count) immediately.
+//   timers      — a binary heap + id->fn map; cancel leaves a tombstone in
+//                 the heap and erases the fn immediately.
 //   transport   — peer sends encode to a frame, refuse oversized ones,
-//                 maybe corrupt (chaos), then stage on the calling shard's
-//                 send queue for a sendmmsg flush; local sends route to the
-//                 owning shard's inbox (same-shard: no lock at all).
-//   receiver    — one thread draining recvmmsg bursts, grouping decoded
-//                 frames by destination shard, one inbox lock per shard
-//                 per burst.
-//   loops       — shard_loop is the one event-loop body; run/run_until run
-//                 shard 0 on the calling thread and the rest on temporary
-//                 threads for the duration of the call.
+//                 maybe corrupt (chaos), then stage on the loop's send
+//                 queue for a sendmmsg flush; local sends from the loop
+//                 thread go straight onto its drained queue, others through
+//                 the inbox.
+//   receiver    — one thread draining recvmmsg bursts into the inbox, one
+//                 lock acquisition per burst.
+//   loop        — run_impl, on the calling thread.
 //
-// Quiescence (loopback-only runtimes) is detected with a global
-// pending-event counter: every armed timer and queued message holds one
-// count until its handler RETURNS (cancel releases it early), so
-// pending_ == 0 really means "nothing is queued anywhere and no handler
-// is mid-flight that could queue more" — sound termination detection
-// without stopping the world.
+// Quiescence (loopback-only runtimes): the loop found nothing due, its
+// drained queue and the inbox were empty, and no timer is armed. Only a
+// thread other than the loop could add work after that, and such a send
+// waits in the inbox for the next run.
 #ifndef _GNU_SOURCE
 #define _GNU_SOURCE 1  // recvmmsg/sendmmsg/MSG_WAITFORONE on glibc
 #endif
@@ -47,10 +42,10 @@ namespace {
 /// Longest the loops or the receiver block before re-checking stop()/pred.
 constexpr std::uint64_t kMaxWaitSliceNs = 50'000'000;  // 50ms
 
-/// TimerIds carry their shard in the low bits so cancel() can find the
-/// owning heap without a registry: id = (per-shard counter << 6) | shard.
-constexpr std::size_t kShardBits = 6;
-constexpr std::size_t kMaxShards = std::size_t{1} << kShardBits;
+/// Offset of the foreign-caller corrupt_tx stream from the loop's, in
+/// splitmix64 increments: chaos runs with one corrupt_seed make the same
+/// decisions as long as the offset stays put.
+constexpr std::uint64_t kForeignStreamOffset = 64;
 
 /// Largest UDP datagram we will ever read; also the per-slot receive
 /// buffer size for recvmmsg bursts.
@@ -98,24 +93,15 @@ std::pair<std::string, std::uint16_t> split_host_port(const std::string& s) {
   return {s.substr(0, colon), static_cast<std::uint16_t>(port)};
 }
 
-/// Which runtime's shard loop (if any) the current thread is executing.
-/// Keyed by runtime pointer because one OS process routinely hosts several
+/// Which runtime's loop (if any) the current thread is executing. Keyed by
+/// runtime pointer because one OS process routinely hosts several
 /// RealRuntimes (every realtime test does).
-thread_local const void* tl_runtime = nullptr;
-thread_local std::size_t tl_shard = kNoShard;
+thread_local const void* tl_loop = nullptr;
 
-struct ShardScope {
-  const void* prev_rt;
-  std::size_t prev_shard;
-  ShardScope(const void* rt, std::size_t shard)
-      : prev_rt(tl_runtime), prev_shard(tl_shard) {
-    tl_runtime = rt;
-    tl_shard = shard;
-  }
-  ~ShardScope() {
-    tl_runtime = prev_rt;
-    tl_shard = prev_shard;
-  }
+struct LoopScope {
+  const void* prev;
+  explicit LoopScope(const void* rt) : prev(tl_loop) { tl_loop = rt; }
+  ~LoopScope() { tl_loop = prev; }
 };
 
 }  // namespace
@@ -126,19 +112,11 @@ RealRuntime::RealRuntime(RealRuntimeOptions options)
       transport_(*this),
       epoch_(std::chrono::steady_clock::now()) {
   UNIDIR_REQUIRE_MSG(options_.tick_ns > 0, "tick_ns must be positive");
-  if (options_.shards == 0) options_.shards = 1;
-  UNIDIR_REQUIRE_MSG(options_.shards <= kMaxShards,
-                     "RealRuntime: shards capped at 64");
   if (options_.recv_batch == 0) options_.recv_batch = 1;
   if (options_.send_batch == 0) options_.send_batch = 1;
-  shards_.reserve(options_.shards);
-  for (std::size_t i = 0; i < options_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_[i]->corrupt_rng =
-        options_.corrupt_seed + 0x9E3779B97F4A7C15ull * i;
-  }
+  corrupt_rng_ = options_.corrupt_seed;
   foreign_corrupt_rng_ =
-      options_.corrupt_seed + 0x9E3779B97F4A7C15ull * kMaxShards;
+      options_.corrupt_seed + 0x9E3779B97F4A7C15ull * kForeignStreamOffset;
   for (const RealRuntimeOptions::Peer& p : options_.peers)
     add_peer(p.id, p.host, p.port);
   if (!options_.listen.empty()) {
@@ -169,55 +147,35 @@ Time RealRuntime::now_ticks() const { return elapsed_ns() / options_.tick_ns; }
 
 // ---- timers ----------------------------------------------------------------
 
-std::size_t RealRuntime::calling_shard() const {
-  return tl_runtime == this ? tl_shard : kNoShard;
-}
+bool RealRuntime::on_loop_thread() const { return tl_loop == this; }
 
-std::size_t RealRuntime::arm_shard() const {
-  const std::size_t cs = calling_shard();
-  return cs == kNoShard ? 0 : cs;
-}
-
-TimerId RealRuntime::arm_for(ProcessId owner, Time delay,
-                             std::function<void()> fn) {
-  return arm_timer(shard_of(owner), delay, std::move(fn));
-}
-
-TimerId RealRuntime::arm_timer(std::size_t shard, Time delay,
-                               std::function<void()> fn) {
+TimerId RealRuntime::arm_timer(Time delay, std::function<void()> fn) {
   UNIDIR_REQUIRE(fn != nullptr);
-  UNIDIR_REQUIRE(shard < shards_.size());
-  if (running_.load(std::memory_order_relaxed)) {
-    // Timer structures are loop-thread-owned: while loops run, only the
-    // shard's own handlers may touch them. Pre-run arms (World::start,
-    // bench schedule injection) synchronize via the thread handoff.
-    UNIDIR_REQUIRE_MSG(calling_shard() == shard,
-                       "RealRuntime: cross-shard timer arm while loops run");
-  }
-  Shard& s = *shards_[shard];
-  const TimerId id = (++s.next_timer_id << kShardBits) |
-                     static_cast<TimerId>(shard);
-  s.timer_fns.emplace(id, std::move(fn));
-  s.timer_heap.push_back(TimerEntry{elapsed_ns() + delay * options_.tick_ns,
-                                    s.next_timer_seq++, id});
-  std::push_heap(s.timer_heap.begin(), s.timer_heap.end());
-  s.scheduled.fetch_add(1, std::memory_order_relaxed);
-  pending_.fetch_add(1);
+  // The timer structures are loop-thread-owned: while the loop runs, only
+  // its own handlers may touch them. Pre-run arms (World::start, bench
+  // schedule injection) happen-before the loop on the calling thread.
+  UNIDIR_REQUIRE_MSG(!running_.load(std::memory_order_relaxed) ||
+                         on_loop_thread(),
+                     "RealRuntime: timer arm from a non-loop thread while "
+                     "the loop runs");
+  const TimerId id = ++next_timer_id_;
+  timer_fns_.emplace(id, std::move(fn));
+  timer_heap_.push_back(TimerEntry{elapsed_ns() + delay * options_.tick_ns,
+                                   next_timer_seq_++, id});
+  std::push_heap(timer_heap_.begin(), timer_heap_.end());
+  scheduled_.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
 
 void RealRuntime::cancel_timer(TimerId id) {
   if (id == kNoTimer) return;
-  const std::size_t shard = static_cast<std::size_t>(id) & (kMaxShards - 1);
-  if (shard >= shards_.size()) return;  // unknown id: no-op, per contract
-  if (running_.load(std::memory_order_relaxed)) {
-    UNIDIR_REQUIRE_MSG(calling_shard() == shard,
-                       "RealRuntime: cross-shard timer cancel while loops run");
-  }
+  UNIDIR_REQUIRE_MSG(!running_.load(std::memory_order_relaxed) ||
+                         on_loop_thread(),
+                     "RealRuntime: timer cancel from a non-loop thread while "
+                     "the loop runs");
   // The heap entry stays behind as a tombstone; step() skips entries whose
-  // function is gone. The pending count is released NOW — this timer will
-  // never execute, and quiescence must not wait for its deadline.
-  if (shards_[shard]->timer_fns.erase(id) > 0) pending_.fetch_sub(1);
+  // function is gone, and quiescence counts only live functions.
+  timer_fns_.erase(id);
 }
 
 // ---- transport -------------------------------------------------------------
@@ -246,11 +204,10 @@ void RealRuntime::transport_send(ProcessId from, ProcessId to, Channel channel,
       return;
     }
     if (options_.corrupt_tx_per_million != 0 && !frame.empty()) {
-      const std::size_t cs = calling_shard();
       std::unique_lock<std::mutex> foreign_lock;
       std::uint64_t* rng = nullptr;
-      if (cs != kNoShard) {
-        rng = &shards_[cs]->corrupt_rng;
+      if (on_loop_thread()) {
+        rng = &corrupt_rng_;
       } else {
         foreign_lock = std::unique_lock<std::mutex>(foreign_mu_);
         rng = &foreign_corrupt_rng_;
@@ -281,35 +238,32 @@ void RealRuntime::transport_send(ProcessId from, ProcessId to, Channel channel,
 }
 
 void RealRuntime::enqueue_local(Incoming in) {
-  Shard& s = *shards_[shard_of(in.to)];
-  s.scheduled.fetch_add(1, std::memory_order_relaxed);
-  pending_.fetch_add(1);
-  if (calling_shard() == shard_of(in.to)) {
-    // Same-shard delivery from the shard's own loop thread: the drained
-    // queue is ours, no lock, no wakeup (we are plainly awake).
-    s.local.push_back(std::move(in));
+  scheduled_.fetch_add(1, std::memory_order_relaxed);
+  if (on_loop_thread()) {
+    // Delivery from the loop's own thread: the drained queue is ours, no
+    // lock, no wakeup (we are plainly awake).
+    local_.push_back(std::move(in));
     return;
   }
   {
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.inbox.push_back(std::move(in));
+    std::lock_guard<std::mutex> lock(inbox_mu_);
+    inbox_.push_back(std::move(in));
   }
-  s.cv.notify_one();
+  inbox_cv_.notify_one();
 }
 
 // ---- outbound batching -----------------------------------------------------
 
 void RealRuntime::stage_or_send(std::uint64_t addr, Bytes frame) {
-  const std::size_t cs = calling_shard();
-  if (cs == kNoShard || !options_.use_sendmmsg || options_.send_batch <= 1) {
-    // Not on a loop thread (pre-run sends), or batching is off: one
+  if (!on_loop_thread() || !options_.use_sendmmsg ||
+      options_.send_batch <= 1) {
+    // Not on the loop thread (pre-run sends), or batching is off: one
     // syscall now, full failure accounting either way.
     send_now(addr, frame);
     return;
   }
-  Shard& s = *shards_[cs];
-  s.send_queue.push_back(PendingSend{addr, std::move(frame)});
-  if (s.send_queue.size() >= options_.send_batch) flush_sends(s);
+  send_queue_.push_back(PendingSend{addr, std::move(frame)});
+  if (send_queue_.size() >= options_.send_batch) flush_sends();
 }
 
 void RealRuntime::send_now(std::uint64_t addr, const Bytes& frame) {
@@ -326,24 +280,24 @@ void RealRuntime::send_now(std::uint64_t addr, const Bytes& frame) {
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void RealRuntime::flush_sends(Shard& s) {
-  if (s.send_queue.empty()) return;
+void RealRuntime::flush_sends() {
+  if (send_queue_.empty()) return;
 #if defined(__linux__)
   if (options_.use_sendmmsg) {
-    // Scratch is thread_local (each shard loop is its own thread) so the
-    // header stays free of socket types and the hot path free of allocs.
+    // Scratch is thread_local so the header stays free of socket types and
+    // the hot path free of allocs.
     static thread_local std::vector<mmsghdr> msgs;
     static thread_local std::vector<iovec> iovs;
     static thread_local std::vector<sockaddr_in> addrs;
     std::size_t i = 0;
-    while (i < s.send_queue.size()) {
+    while (i < send_queue_.size()) {
       const std::size_t n =
-          std::min(s.send_queue.size() - i, options_.send_batch);
+          std::min(send_queue_.size() - i, options_.send_batch);
       msgs.assign(n, mmsghdr{});
       iovs.resize(n);
       addrs.resize(n);
       for (std::size_t k = 0; k < n; ++k) {
-        PendingSend& p = s.send_queue[i + k];
+        PendingSend& p = send_queue_[i + k];
         addrs[k] = unpack_addr(p.addr);
         iovs[k].iov_base = p.frame.data();
         iovs[k].iov_len = p.frame.size();
@@ -370,12 +324,12 @@ void RealRuntime::flush_sends(Shard& s) {
                              std::memory_order_relaxed);
       i += static_cast<std::size_t>(sent);
     }
-    s.send_queue.clear();
+    send_queue_.clear();
     return;
   }
 #endif
-  for (const PendingSend& p : s.send_queue) send_now(p.addr, p.frame);
-  s.send_queue.clear();
+  for (const PendingSend& p : send_queue_) send_now(p.addr, p.frame);
+  send_queue_.clear();
 }
 
 void RealRuntime::note_send_failure(int err) {
@@ -434,9 +388,9 @@ void RealRuntime::receive_loop() {
     msgs[k].msg_hdr.msg_iovlen = 1;
   }
 #endif
-  // Decoded frames grouped by destination shard, so each burst costs one
-  // inbox lock per TARGET SHARD, not one per datagram.
-  std::vector<std::vector<Incoming>> per_shard(shards_.size());
+  // Decoded frames of one burst, appended to the inbox under one lock.
+  std::vector<Incoming> burst;
+  burst.reserve(batch);
   while (!stopped()) {
     int got = 0;
 #if defined(__linux__)
@@ -483,152 +437,110 @@ void RealRuntime::receive_loop() {
         continue;
       }
       ++decoded;
-      per_shard[shard_of(frame->to)].push_back(
-          Incoming{frame->from, frame->to, frame->channel,
-                   Payload(std::move(frame->payload))});
+      burst.push_back(Incoming{frame->from, frame->to, frame->channel,
+                               Payload(std::move(frame->payload))});
     }
     frames_received_.fetch_add(decoded, std::memory_order_relaxed);
-    for (std::size_t si = 0; si < per_shard.size(); ++si) {
-      std::vector<Incoming>& group = per_shard[si];
-      if (group.empty()) continue;
-      Shard& s = *shards_[si];
-      s.scheduled.fetch_add(group.size(), std::memory_order_relaxed);
-      pending_.fetch_add(group.size());
-      {
-        std::lock_guard<std::mutex> lock(s.mu);
-        for (Incoming& in : group) s.inbox.push_back(std::move(in));
-      }
-      s.cv.notify_one();
-      group.clear();
+    if (burst.empty()) continue;
+    scheduled_.fetch_add(burst.size(), std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(inbox_mu_);
+      for (Incoming& in : burst) inbox_.push_back(std::move(in));
     }
+    inbox_cv_.notify_one();
+    burst.clear();
   }
 }
 
-// ---- event loops -----------------------------------------------------------
+// ---- event loop ------------------------------------------------------------
 
-bool RealRuntime::step(Shard& s) {
+bool RealRuntime::step() {
   // Due timers first (they were armed strictly earlier than any message
-  // that could race them on this shard), skipping cancel tombstones.
+  // that could race them), skipping cancel tombstones.
   const std::uint64_t now_ns = elapsed_ns();
-  while (!s.timer_heap.empty()) {
-    const TimerEntry top = s.timer_heap.front();
-    const auto fn_it = s.timer_fns.find(top.id);
-    if (fn_it == s.timer_fns.end()) {  // cancelled: drop silently
-      std::pop_heap(s.timer_heap.begin(), s.timer_heap.end());
-      s.timer_heap.pop_back();
+  while (!timer_heap_.empty()) {
+    const TimerEntry top = timer_heap_.front();
+    const auto fn_it = timer_fns_.find(top.id);
+    if (fn_it == timer_fns_.end()) {  // cancelled: drop silently
+      std::pop_heap(timer_heap_.begin(), timer_heap_.end());
+      timer_heap_.pop_back();
       continue;
     }
     if (top.deadline_ns > now_ns) break;
-    std::pop_heap(s.timer_heap.begin(), s.timer_heap.end());
-    s.timer_heap.pop_back();
+    std::pop_heap(timer_heap_.begin(), timer_heap_.end());
+    timer_heap_.pop_back();
     std::function<void()> fn = std::move(fn_it->second);
-    s.timer_fns.erase(fn_it);
-    s.executed.fetch_add(1, std::memory_order_relaxed);
+    timer_fns_.erase(fn_it);
+    executed_.fetch_add(1, std::memory_order_relaxed);
     fn();
-    pending_.fetch_sub(1);  // released only after the handler returns
     return true;
   }
-  if (s.local.empty()) {
+  if (local_.empty()) {
     // Drain the whole inbox in one lock acquisition; the burst is then
     // consumed lock-free from the loop thread's own queue.
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.local.swap(s.inbox);
+    std::lock_guard<std::mutex> lock(inbox_mu_);
+    local_.swap(inbox_);
   }
-  if (s.local.empty()) return false;
-  Incoming in = std::move(s.local.front());
-  s.local.pop_front();
-  s.executed.fetch_add(1, std::memory_order_relaxed);
+  if (local_.empty()) return false;
+  Incoming in = std::move(local_.front());
+  local_.pop_front();
+  executed_.fetch_add(1, std::memory_order_relaxed);
   if (deliver_) deliver_(in.from, in.to, in.channel, in.payload);
-  pending_.fetch_sub(1);
   return true;
 }
 
-void RealRuntime::wait_for_work(Shard& s) {
+void RealRuntime::wait_for_work() {
   std::uint64_t wait_ns = kMaxWaitSliceNs;
-  if (!s.timer_heap.empty()) {
+  if (!timer_heap_.empty()) {
     const std::uint64_t now_ns = elapsed_ns();
-    const std::uint64_t deadline = s.timer_heap.front().deadline_ns;
+    const std::uint64_t deadline = timer_heap_.front().deadline_ns;
     wait_ns = deadline <= now_ns ? 0 : std::min(deadline - now_ns, wait_ns);
   }
   if (wait_ns == 0) return;
-  std::unique_lock<std::mutex> lock(s.mu);
-  s.cv.wait_for(lock, std::chrono::nanoseconds(wait_ns), [this, &s] {
-    return !s.inbox.empty() || stopped() ||
-           run_done_.load(std::memory_order_relaxed);
-  });
+  std::unique_lock<std::mutex> lock(inbox_mu_);
+  inbox_cv_.wait_for(lock, std::chrono::nanoseconds(wait_ns),
+                     [this] { return !inbox_.empty() || stopped(); });
 }
 
-void RealRuntime::wake_all_shards() {
-  for (const std::unique_ptr<Shard>& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    s->cv.notify_all();
-  }
-}
-
-std::pair<bool, std::size_t> RealRuntime::shard_loop(
-    std::size_t index, const std::function<bool()>* pred,
-    std::size_t max_events) {
-  Shard& s = *shards_[index];
-  ShardScope scope(this, index);
-  const auto t0 = std::chrono::steady_clock::now();
-  bool held = false;
-  std::size_t n = 0;
-  for (;;) {
-    if (pred && (held = (*pred)())) break;
-    if (stopped() || run_done_.load(std::memory_order_relaxed)) break;
-    if (events_this_run_.load(std::memory_order_relaxed) >= max_events) break;
-    if (step(s)) {
-      ++n;
-      events_this_run_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    // Out of immediately-due events: a batch boundary. Flush staged sends
-    // before any wait so coalescing never adds idle latency.
-    flush_sends(s);
-    if (fd_ < 0 && pending_.load() == 0) {
-      // Loopback-only and nothing pending anywhere — quiesced. Sharded
-      // runs re-check from every shard; whoever sees it first leaves, and
-      // pending_ can only rise again from an (unsupported) foreign thread.
-      if (pred) held = (*pred)();
-      break;
-    }
-    wait_for_work(s);
-  }
-  flush_sends(s);
-  s.run_wall_ns.fetch_add(
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()),
-      std::memory_order_relaxed);
-  return {held, n};
+void RealRuntime::wake_loop() {
+  std::lock_guard<std::mutex> lock(inbox_mu_);
+  inbox_cv_.notify_all();
 }
 
 std::pair<bool, std::size_t> RealRuntime::run_impl(
     const std::function<bool()>* pred, std::size_t max_events) {
   UNIDIR_REQUIRE_MSG(!running_.exchange(true),
                      "RealRuntime: nested or concurrent run");
-  run_done_.store(false, std::memory_order_relaxed);
-  events_this_run_.store(0, std::memory_order_relaxed);
-  std::vector<std::size_t> counts(shards_.size(), 0);
-  std::vector<std::thread> threads;
-  threads.reserve(shards_.size() - 1);
-  for (std::size_t i = 1; i < shards_.size(); ++i) {
-    threads.emplace_back([this, i, max_events, &counts] {
-      counts[i] = shard_loop(i, nullptr, max_events).second;
-    });
+  LoopScope scope(this);
+  const auto t0 = std::chrono::steady_clock::now();
+  bool held = false;
+  std::size_t n = 0;
+  for (;;) {
+    if (pred && (held = (*pred)())) break;
+    if (stopped() || n >= max_events) break;
+    if (step()) {
+      ++n;
+      continue;
+    }
+    // Out of immediately-due events: a batch boundary. Flush staged sends
+    // before any wait so coalescing never adds idle latency.
+    flush_sends();
+    if (fd_ < 0 && timer_fns_.empty()) {
+      // Loopback-only, nothing queued and no timer armed: quiesced.
+      if (pred) held = (*pred)();
+      break;
+    }
+    wait_for_work();
   }
-  // Shard 0 runs on the calling thread and is the only one checking the
-  // predicate (which may read caller-side state).
-  const auto [held, n0] = shard_loop(0, pred, max_events);
-  counts[0] = n0;
-  run_done_.store(true, std::memory_order_relaxed);
-  wake_all_shards();
-  for (std::thread& t : threads) t.join();
+  flush_sends();
+  run_wall_ns_.fetch_add(
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()),
+      std::memory_order_relaxed);
   running_.store(false, std::memory_order_relaxed);
-  std::size_t total = 0;
-  for (const std::size_t c : counts) total += c;
-  return {held, total};
+  return {held, n};
 }
 
 std::size_t RealRuntime::run(std::size_t max_events) {
@@ -645,30 +557,13 @@ bool RealRuntime::run_until(const std::function<bool()>& pred,
 
 RuntimeStats RealRuntime::stats() const {
   RuntimeStats out;
-  for (const std::unique_ptr<Shard>& s : shards_) {
-    out.scheduled += s->scheduled.load(std::memory_order_relaxed);
-    out.executed += s->executed.load(std::memory_order_relaxed);
-    // MAX, not sum: shards run in parallel, so summing their loop times
-    // would overstate wall time and understate events/sec.
-    out.run_wall_ns = std::max(
-        out.run_wall_ns, s->run_wall_ns.load(std::memory_order_relaxed));
-  }
+  out.scheduled = scheduled_.load(std::memory_order_relaxed);
+  out.executed = executed_.load(std::memory_order_relaxed);
+  out.run_wall_ns = run_wall_ns_.load(std::memory_order_relaxed);
   out.frames_send_failed =
       frames_send_failed_.load(std::memory_order_relaxed);
   out.frames_oversized = frames_oversized_.load(std::memory_order_relaxed);
   out.receiver_dead = receiver_dead_.load(std::memory_order_relaxed);
-  return out;
-}
-
-RuntimeStats RealRuntime::shard_stats(std::size_t shard) const {
-  UNIDIR_REQUIRE(shard < shards_.size());
-  const Shard& s = *shards_[shard];
-  RuntimeStats out;
-  out.scheduled = s.scheduled.load(std::memory_order_relaxed);
-  out.executed = s.executed.load(std::memory_order_relaxed);
-  out.run_wall_ns = s.run_wall_ns.load(std::memory_order_relaxed);
-  // Transport-health fields are process-global (one socket, one receiver);
-  // read them from stats(), not per shard, or they would double-count.
   return out;
 }
 

@@ -1,31 +1,25 @@
-// RealRuntime: the same protocol stack on OS threads, monotonic-clock
-// timer heaps, and UDP sockets — with batched socket I/O and optional
-// event-loop shards.
+// RealRuntime: the same protocol stack on an OS thread, a monotonic-clock
+// timer heap, and UDP sockets — with batched socket I/O.
 //
-// One RealRuntime hosts `options.shards` event loops (default 1). Each
-// local ProcessId is pinned to shard `id % shards`; all of a process's
-// handlers and arm_for timers execute on its shard's loop thread, one
-// event at a time, so protocol code needs no locking — the same
-// thread-confinement contract the simulator gives, now per shard. With one
-// shard, run()/run_until() execute the loop on the calling thread exactly
-// as before; with more, run_until runs shard 0 on the calling thread
-// (checking the predicate there) and the rest on internal threads that
-// live for the duration of the call. Two auxiliary thread kinds exist:
+// One RealRuntime is one event loop: one timer heap, one inbox and one
+// send queue. run()/run_until() execute the loop on the calling thread,
+// one event at a time, so protocol code needs no locking — the same
+// thread-confinement contract the simulator gives. The only other thread
+// is the receiver (only when `listen` is set), which drains datagram
+// BURSTS — recvmmsg, up to options.recv_batch per syscall, with a portable
+// recvfrom fallback behind the same interface — decodes frames
+// (runtime/frame.h) and appends each burst to the inbox under one lock
+// acquisition. One OS process that wants more cores runs more
+// RealRuntimes, each on its own thread (the realtime tests and
+// bench_realnet host one per replica).
 //
-//   * a receiver thread (only when `listen` is set) that drains datagram
-//     BURSTS — recvmmsg, up to options.recv_batch per syscall, with a
-//     portable recvfrom fallback behind the same interface — decodes
-//     frames (runtime/frame.h) and enqueues each burst into the target
-//     shards' inboxes, one lock acquisition per shard per burst;
-//   * the per-call shard loop threads described above.
-//
-// Signature and USIG verification run inline on the handler's shard
-// thread, exactly as under the sim.
+// Signature and USIG verification run inline on the loop thread, exactly
+// as under the sim.
 //
 // Outbound datagrams are coalesced: sends a handler issues are staged in
-// the executing shard's queue and flushed with one sendmmsg when the queue
-// reaches options.send_batch, when the loop runs out of immediately-due
-// events, and before every wait — so a broadcast costs one syscall, and at
+// the loop's queue and flushed with one sendmmsg when the queue reaches
+// options.send_batch, when the loop runs out of immediately-due events,
+// and before every wait — so a broadcast costs one syscall, and at
 // saturation the syscalls-per-datagram ratio drops well below 1 on both
 // directions. Every send's return value is checked: kernel rejections are
 // counted (frames_send_failed, per-errno WARN-once), never reported as
@@ -36,17 +30,15 @@
 // Time: a "tick" is Options::tick_ns of std::chrono::steady_clock (default
 // 1ms), so protocol timeouts written in ticks — a MinBFT view-change
 // timeout of 300, a client resend of 400 — become 300ms/400ms of wall
-// time. Timers fire in (deadline, arm-order) order on their shard's
-// thread. Arming or cancelling a timer on a shard other than the calling
-// one while loops run is a contract violation (checked): timers belong to
-// the process that armed them, and that process belongs to one shard.
+// time. Timers fire in (deadline, arm-order) order on the loop thread.
+// Arming or cancelling a timer from any other thread while the loop runs
+// is a contract violation (checked): the timer heap belongs to the loop.
 //
 // Addressing: sends to ids in the peer table leave through the UDP socket
 // as length-prefixed frames; sends to local ids (World registers which)
-// loop back through the owning shard's inbox — the cross-shard delivery
-// path; anything else is dropped and counted. Determinism, fingerprints
-// and the adversary do NOT exist here — that is the point of the boundary
-// (DESIGN.md §13; sharding and batching are §15).
+// loop back onto the event loop; anything else is dropped and counted.
+// Determinism, fingerprints and the adversary do NOT exist here — that is
+// the point of the boundary (DESIGN.md §13; batching is §15).
 #pragma once
 
 #include <atomic>
@@ -55,7 +47,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -68,8 +59,8 @@
 namespace unidir::runtime {
 
 /// Counters for the socket path. Frame drops are counted where they
-/// happen (receiver thread, shard flush), so the fields tests read after
-/// a run are atomics; everything protocol-visible stays shard-confined.
+/// happen (receiver thread, loop flush), so the fields tests read after
+/// a run are atomics; everything protocol-visible stays on the loop.
 struct UdpTransportStats {
   std::uint64_t frames_sent = 0;         // datagrams the kernel ACCEPTED
   std::uint64_t frames_received = 0;
@@ -121,14 +112,6 @@ struct RealRuntimeOptions {
   /// add_peer(), as long as it happens before the loop runs.
   std::vector<Peer> peers;
 
-  /// Event-loop shards. Local ids are pinned to shard id % shards; each
-  /// shard has its own timer heap, inbox and send queue and runs its
-  /// pinned processes' handlers on its own thread, so one OS process
-  /// hosting many protocol processes (a client fleet, a single-machine
-  /// cluster) exploits real cores. 1 (the default) is the classic
-  /// single-loop runtime. Capped at 64.
-  std::size_t shards = 1;
-
   /// Datagrams drained per receive syscall (recvmmsg burst width) and
   /// frames coalesced per sendmmsg flush. 1 degenerates to the unbatched
   /// syscall-per-datagram path.
@@ -156,7 +139,8 @@ struct RealRuntimeOptions {
   /// decode_frame rejects and counts garbage instead of crashing. Payload-
   /// level corruption (inside a valid frame) is FaultyTransport's job
   /// (runtime/fault.h); this knob covers the layer below it. Decisions are
-  /// deterministic in (corrupt_seed, shard, send index within the shard).
+  /// deterministic in (corrupt_seed, send index): the loop thread
+  /// and any other sending thread each draw from their own stream.
   std::uint32_t corrupt_tx_per_million = 0;
   std::uint64_t corrupt_seed = 1;
 };
@@ -177,24 +161,21 @@ class RealRuntime final : public Runtime {
   /// Registers/overwrites a remote peer address. Call before run().
   void add_peer(ProcessId id, const std::string& host, std::uint16_t port);
 
-  /// Asks the loops to return after their current event; callable from any
+  /// Asks the loop to return after its current event; callable from any
   /// thread (and from signal-handler-adjacent contexts via the atomic).
   void stop() {
     stop_.store(true, std::memory_order_relaxed);
-    wake_all_shards();
+    wake_loop();
   }
   bool stopped() const { return stop_.load(std::memory_order_relaxed); }
 
   Clock& clock() override { return clock_; }
   Transport& transport() override { return transport_; }
 
-  /// Runs until stop(), `max_events` (a soft cap: shards may overshoot by
-  /// one event each), or quiescence — which here means literally nothing
-  /// pending anywhere: no timer armed, no message queued, no handler
-  /// mid-flight (one global pending count tracks all three, so the check
-  /// is sound even across shards), and no socket to produce more. A
-  /// socket-bound runtime never quiesces on its own — a datagram may
-  /// always arrive; use stop() or run_until there.
+  /// Runs until stop(), `max_events`, or quiescence — which here means
+  /// literally nothing pending: no timer armed, no message queued, and no
+  /// socket to produce more. A socket-bound runtime never quiesces on its
+  /// own — a datagram may always arrive; use stop() or run_until there.
   std::size_t run(std::size_t max_events) override;
   bool run_until(const std::function<bool()>& pred,
                  std::size_t max_events) override;
@@ -203,19 +184,13 @@ class RealRuntime final : public Runtime {
   UdpTransportStats udp_stats() const;
   bool real_time() const override { return true; }
 
-  std::size_t execution_shards() const override { return shards_.size(); }
-  std::size_t calling_shard() const override;
-  TimerId arm_for(ProcessId owner, Time delay,
-                  std::function<void()> fn) override;
-  RuntimeStats shard_stats(std::size_t shard) const override;
-
  private:
   class RealClock final : public Clock {
    public:
     explicit RealClock(RealRuntime& rt) : rt_(rt) {}
     Time now() const override { return rt_.now_ticks(); }
     TimerId arm(Time delay, std::function<void()> fn) override {
-      return rt_.arm_timer(rt_.arm_shard(), delay, std::move(fn));
+      return rt_.arm_timer(delay, std::move(fn));
     }
     void cancel(TimerId id) override { rt_.cancel_timer(id); }
 
@@ -265,67 +240,35 @@ class RealRuntime final : public Runtime {
     Bytes frame;
   };
 
-  /// One event loop: timer heap + inbox + outbound staging. The timer
-  /// structures, the drained `local` queue, the send queue and the scratch
-  /// arrays are owned by the shard's loop thread (pre-run accesses
-  /// synchronize via the thread handoff); `inbox` is the cross-thread
-  /// handoff point, shared with other shards and the receiver.
-  struct Shard {
-    std::vector<TimerEntry> timer_heap;  // via std::push_heap/std::pop_heap
-    std::unordered_map<TimerId, std::function<void()>> timer_fns;
-    std::uint64_t next_timer_seq = 0;
-    std::uint64_t next_timer_id = 0;
-    std::deque<Incoming> local;  // drained batch, loop-thread-only
-    std::vector<PendingSend> send_queue;
-    std::uint64_t corrupt_rng = 0;
-
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Incoming> inbox;
-
-    // Work accounting; atomics so stats() may be polled mid-run.
-    std::atomic<std::uint64_t> scheduled{0};
-    std::atomic<std::uint64_t> executed{0};
-    std::atomic<std::uint64_t> run_wall_ns{0};
-  };
-
   std::uint64_t elapsed_ns() const;
   Time now_ticks() const;
 
-  /// Shard a clock-level (ownerless) arm lands on: the calling shard, or
-  /// shard 0 before the loops run.
-  std::size_t arm_shard() const;
-  std::size_t shard_of(ProcessId id) const {
-    return static_cast<std::size_t>(id) % shards_.size();
-  }
-  TimerId arm_timer(std::size_t shard, Time delay, std::function<void()> fn);
+  /// True iff the calling thread is running this runtime's loop.
+  bool on_loop_thread() const;
+  TimerId arm_timer(Time delay, std::function<void()> fn);
   void cancel_timer(TimerId id);
   void transport_send(ProcessId from, ProcessId to, Channel channel,
                       Payload payload);
   void enqueue_local(Incoming in);
-  /// Stages `frame` for `addr` on the calling shard (flushing at
-  /// send_batch), or sends it immediately when the caller is not a shard
-  /// loop thread.
+  /// Stages `frame` for `addr` on the loop's send queue (flushing at
+  /// send_batch), or sends it immediately when the caller is not the loop
+  /// thread.
   void stage_or_send(std::uint64_t addr, Bytes frame);
   /// One sendto with full failure accounting.
   void send_now(std::uint64_t addr, const Bytes& frame);
-  void flush_sends(Shard& s);
+  void flush_sends();
   void note_send_failure(int err);
   void open_socket();
   void receive_loop();
-  /// Executes at most one pending event on `s` (due timer first, then one
-  /// drained message); returns false when nothing was due. Refills the
-  /// drained queue from the inbox in one lock acquisition per burst.
-  bool step(Shard& s);
-  /// Sleeps until the next timer deadline on `s`, an inbox arrival,
-  /// stop()/run-epoch end, or a bounded slice.
-  void wait_for_work(Shard& s);
-  void wake_all_shards();
-  /// The loop body every shard runs: `pred` is only ever non-null on shard
-  /// 0 (the calling thread). Returns (pred held, events executed here).
-  std::pair<bool, std::size_t> shard_loop(std::size_t index,
-                                          const std::function<bool()>* pred,
-                                          std::size_t max_events);
+  /// Executes at most one pending event (due timer first, then one drained
+  /// message); returns false when nothing was due. Refills the drained
+  /// queue from the inbox in one lock acquisition per burst.
+  bool step();
+  /// Sleeps until the next timer deadline, an inbox arrival, stop(), or a
+  /// bounded slice.
+  void wait_for_work();
+  void wake_loop();
+  /// The loop body. Returns (pred held, events executed).
   std::pair<bool, std::size_t> run_impl(const std::function<bool()>* pred,
                                         std::size_t max_events);
 
@@ -337,22 +280,36 @@ class RealRuntime final : public Runtime {
 
   std::chrono::steady_clock::time_point epoch_;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // Loop-thread-owned while the loop runs; earlier accesses (World::start,
+  // bench schedule injection) happen-before it on the calling thread.
+  std::vector<TimerEntry> timer_heap_;  // via std::push_heap/std::pop_heap
+  std::unordered_map<TimerId, std::function<void()>> timer_fns_;
+  std::uint64_t next_timer_seq_ = 0;
+  std::uint64_t next_timer_id_ = 0;
+  std::deque<Incoming> local_;  // drained inbox burst + same-thread sends
+  std::vector<PendingSend> send_queue_;
+  std::uint64_t corrupt_rng_ = 0;
+
+  // The cross-thread handoff point, shared with the receiver and any
+  // non-loop sender.
+  std::mutex inbox_mu_;
+  std::condition_variable inbox_cv_;
+  std::deque<Incoming> inbox_;
+
+  // Work accounting; atomics so stats() may be polled mid-run.
+  std::atomic<std::uint64_t> scheduled_{0};
+  std::atomic<std::uint64_t> executed_{0};
+  std::atomic<std::uint64_t> run_wall_ns_{0};
 
   int fd_ = -1;
   std::uint16_t bound_port_ = 0;
   std::thread receiver_;
   std::atomic<bool> stop_{false};
-  std::atomic<bool> running_{false};    // any shard loop live (arm checks)
-  std::atomic<bool> run_done_{false};   // current run_impl epoch is over
-  std::atomic<std::uint64_t> events_this_run_{0};  // soft max_events budget
-  /// Armed timers + queued messages + handlers mid-flight; 0 is sound
-  /// quiescence for loopback-only runtimes (see the .cpp header comment).
-  std::atomic<std::uint64_t> pending_{0};
+  std::atomic<bool> running_{false};  // the loop is live (arm checks)
   std::unordered_map<ProcessId, std::uint64_t> peers_;  // id -> packed addr
 
   // Cold-path bookkeeping shared across threads: warn-once sets and the
-  // corrupt/send state for callers that are not shard loops.
+  // corrupt_tx stream for callers that are not the loop thread.
   std::mutex warn_mu_;
   std::unordered_set<ProcessId> warned_no_peer_;
   std::unordered_set<Channel> warned_oversized_;

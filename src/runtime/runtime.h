@@ -43,7 +43,7 @@ using TimerId = std::uint64_t;
 inline constexpr TimerId kNoTimer = 0;
 
 /// "Not an execution shard": what Runtime::calling_shard returns on the
-/// single-loop backends and on any thread that is not a shard loop.
+/// single-loop backends, from any thread.
 inline constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
 
 /// Work accounting shared by both backends. Wall-clock rate arithmetic
@@ -152,10 +152,9 @@ class Runtime {
   virtual RuntimeStats stats() const = 0;
 
   // -- execution shards ------------------------------------------------------
-  // A backend may split its event loop into several shards, each running
-  // local processes pinned to it on its own thread (RealRuntime with
-  // options.shards > 1). Single-loop backends report one shard and route
-  // arm_for through the plain clock, so callers can use these uniformly.
+  // Both backends are one event loop, so these defaults are the whole
+  // story: one shard, no calling shard, and arm_for through the plain
+  // clock. Decorating runtimes forward them to the backend they wrap.
 
   /// Number of event-loop shards this backend executes handlers on.
   virtual std::size_t execution_shards() const { return 1; }
@@ -165,9 +164,8 @@ class Runtime {
   /// run on the caller's own thread).
   virtual std::size_t calling_shard() const { return kNoShard; }
 
-  /// Arms a timer whose callback touches `owner`'s state. Sharded backends
-  /// route it onto `owner`'s shard so the callback is serialized with the
-  /// owner's message handlers; everywhere else this is exactly clock().arm.
+  /// Arms a timer whose callback touches `owner`'s state; on a single-loop
+  /// backend that is exactly clock().arm.
   virtual TimerId arm_for(ProcessId owner, Time delay,
                           std::function<void()> fn) {
     (void)owner;

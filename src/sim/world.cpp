@@ -35,9 +35,6 @@ void Process::set_timer(Time delay, std::function<void()> fn) {
   // not fire into the recovered incarnation (its closure references state
   // the model says was lost). The filter sits above the Clock interface so
   // the guarantee is backend-independent.
-  //
-  // arm_for, not clock().arm: on a sharded backend the callback touches
-  // this process's state, so it must fire on this process's shard.
   const std::uint64_t epoch = w.incarnation(self);
   w.runtime().arm_for(self, delay, [&w, self, epoch, fn = std::move(fn)]() {
     if (!w.crashed(self) && w.incarnation(self) == epoch) fn();
@@ -73,16 +70,6 @@ World::World(std::uint64_t seed, std::unique_ptr<runtime::Runtime> rt)
       [this](ProcessId from, ProcessId to, Channel channel,
              const Payload& payload) { deliver(from, to, channel, payload); });
   runtime_->transport().set_local([this](ProcessId p) { return is_local(p); });
-  if (const std::size_t shards = runtime_->execution_shards(); shards > 1) {
-    // Private observability sinks per execution shard, so handlers running
-    // concurrently on different shards never touch a shared stat map.
-    shard_wire_stats_.reserve(shards);
-    shard_metrics_.reserve(shards);
-    for (std::size_t i = 0; i < shards; ++i) {
-      shard_wire_stats_.push_back(std::make_unique<wire::StatsHub>());
-      shard_metrics_.push_back(std::make_unique<obs::MetricsRegistry>());
-    }
-  }
   if (sim_rt_ != nullptr) {
     sim_rt_->network().set_tracer(&tracer_);
     // Tolerate out-of-range ids here (a Byzantine process can address
@@ -186,11 +173,6 @@ void World::install_fault_plan(runtime::FaultPlan plan) {
   UNIDIR_REQUIRE_MSG(!started_, "install_fault_plan after start()");
   UNIDIR_REQUIRE_MSG(fault_transport_ == nullptr,
                      "install_fault_plan called twice");
-  // FaultyTransport keeps one rng + delay queue; concurrent sends from
-  // several shard loops would race them. Chaos runs use one shard.
-  UNIDIR_REQUIRE_MSG(runtime_->execution_shards() == 1,
-                     "install_fault_plan is not shard-safe; run with one "
-                     "shard");
   fault_transport_ = std::make_unique<runtime::FaultyTransport>(
       runtime_->transport(), runtime_->clock(), std::move(plan));
   transport_ = fault_transport_.get();
@@ -198,14 +180,6 @@ void World::install_fault_plan(runtime::FaultPlan plan) {
 
 void World::start() {
   UNIDIR_REQUIRE_MSG(!started_, "start() called twice");
-  if (runtime_->execution_shards() > 1) {
-    // The tracer's enabled path appends to one event vector; per-shard
-    // handlers would race it. Sharded worlds are for throughput, where
-    // tracing is off anyway — enforce rather than corrupt.
-    UNIDIR_REQUIRE_MSG(!tracer_.enabled(),
-                       "tracing is not shard-safe; disable it or run with "
-                       "one shard");
-  }
   started_ = true;
   for (auto& p : processes_) {
     if (p == nullptr) continue;
@@ -220,7 +194,6 @@ void World::start() {
       metrics_.add("fault.recovery_boots");
       continue;
     }
-    // arm_for pins each boot event to its process's shard, like set_timer.
     runtime_->arm_for(raw->id(), 0, [this, raw]() {
       if (!crashed(raw->id())) raw->on_start();
     });
@@ -234,27 +207,6 @@ std::size_t World::run_to_quiescence(std::size_t max_events) {
 bool World::run_until(const std::function<bool()>& pred,
                       std::size_t max_events) {
   return runtime_->run_until(pred, max_events);
-}
-
-wire::StatsHub& World::wire_stats() {
-  if (!shard_wire_stats_.empty()) {
-    const std::size_t cs = runtime_->calling_shard();
-    if (cs != runtime::kNoShard) return *shard_wire_stats_[cs];
-  }
-  return wire_stats_;
-}
-
-obs::MetricsRegistry& World::metrics() {
-  if (!shard_metrics_.empty()) {
-    const std::size_t cs = runtime_->calling_shard();
-    if (cs != runtime::kNoShard) return *shard_metrics_[cs];
-  }
-  return metrics_;
-}
-
-void World::fold_shard_observability() {
-  for (const auto& hub : shard_wire_stats_) wire_stats_.merge_from(*hub);
-  for (const auto& reg : shard_metrics_) metrics_.merge_from(*reg);
 }
 
 void World::send_message(ProcessId from, ProcessId to, Channel channel,
@@ -356,9 +308,7 @@ const Transcript& World::transcript(ProcessId id) const {
 
 void World::publish_stats() {
   // set_counter (not add): publishing is idempotent, so callers may refresh
-  // mid-run and again at the end. Shard sinks fold in first so the totals
-  // below include every shard's handler-recorded stats.
-  fold_shard_observability();
+  // mid-run and again at the end.
   if (sim_rt_ != nullptr) {
     // Sim-backend counters. Wall-clock figures stay out of this section —
     // a snapshot of one seed must be identical across runs (they are
@@ -405,17 +355,6 @@ void World::publish_stats() {
     metrics_.set_counter("runtime.frames_send_failed", rs.frames_send_failed);
     metrics_.set_counter("runtime.frames_oversized", rs.frames_oversized);
     metrics_.set_gauge("runtime.receiver_dead", rs.receiver_dead ? 1 : 0);
-    const std::size_t shards = runtime_->execution_shards();
-    metrics_.set_gauge("runtime.shards", static_cast<std::int64_t>(shards));
-    if (shards > 1) {
-      for (std::size_t i = 0; i < shards; ++i) {
-        const runtime::RuntimeStats ss = runtime_->shard_stats(i);
-        const std::string prefix = "runtime.shard" + std::to_string(i);
-        metrics_.set_counter(prefix + ".scheduled", ss.scheduled);
-        metrics_.set_counter(prefix + ".executed", ss.executed);
-        metrics_.set_counter(prefix + ".run_wall_ns", ss.run_wall_ns);
-      }
-    }
   }
 
   const crypto::VerifyStats& sig = keys_.verify_stats();
@@ -439,11 +378,6 @@ void World::publish_stats() {
   metrics_.set_counter("wire.dropped_unknown_tag",
                        wire_stats_.total_dropped_unknown_tag());
   metrics_.set_counter("wire.dropped", wire_stats_.total_dropped());
-  // Grouped-verification demand from the protocol handlers: jobs/batches
-  // is the mean batch occupancy the quorum messages actually produced.
-  metrics_.set_counter("wire.verify_jobs", wire_stats_.total_verify_jobs());
-  metrics_.set_counter("wire.verify_batches",
-                       wire_stats_.total_verify_batches());
 }
 
 void World::deliver(ProcessId from, ProcessId to, Channel channel,

@@ -238,30 +238,14 @@ class World {
   /// Per-channel / per-message-type wire counters, maintained by the typed
   /// routers (see wire/router.h). Lives next to the runtime and network
   /// stats so experiments read all observability from one place.
-  ///
-  /// Shard routing: on a sharded RealRuntime, a handler running on shard k
-  /// gets shard k's PRIVATE hub (same for metrics()), so concurrent
-  /// handlers never contend or race on the stat maps. The per-shard hubs
-  /// are folded into the primary by fold_shard_observability() — which
-  /// publish_stats() calls — so totals read between runs include every
-  /// shard's traffic. Reading totals WHILE loops run sees only the primary
-  /// (plus whatever was already folded); poll runtime().stats() for live
-  /// progress instead.
-  wire::StatsHub& wire_stats();
+  wire::StatsHub& wire_stats() { return wire_stats_; }
   const wire::StatsHub& wire_stats() const { return wire_stats_; }
 
   // -- observability ----------------------------------------------------
   /// Unified registry: protocols record histograms/counters here directly;
-  /// publish_stats() folds the layer stats structs in on demand. Shard
-  /// routing as for wire_stats().
-  obs::MetricsRegistry& metrics();
+  /// publish_stats() folds the layer stats structs in on demand.
+  obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
-
-  /// Drains every execution shard's private StatsHub/MetricsRegistry into
-  /// the primaries. Must not race the loops: call between runs (or from a
-  /// run_until predicate, which executes on shard 0 — but then shards
-  /// other than 0 must be quiescent). Idempotent; publish_stats() calls it.
-  void fold_shard_observability();
   /// Virtual-time tracer, shared by the network and the protocols. Off by
   /// default; call tracer().enable() before start() to record.
   obs::Tracer& tracer() { return tracer_; }
@@ -331,11 +315,6 @@ class World {
   runtime::Transport* transport_ = nullptr;
   wire::StatsHub wire_stats_;
   obs::MetricsRegistry metrics_;
-  // One private hub/registry per execution shard (index = shard), created
-  // only when the backend is sharded; folded into the primaries above by
-  // fold_shard_observability().
-  std::vector<std::unique_ptr<wire::StatsHub>> shard_wire_stats_;
-  std::vector<std::unique_ptr<obs::MetricsRegistry>> shard_metrics_;
   obs::Tracer tracer_;
   crypto::KeyRegistry keys_;
   std::vector<std::unique_ptr<Process>> processes_;

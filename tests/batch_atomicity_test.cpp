@@ -11,6 +11,7 @@
 #include "agreement/state_machines.h"
 #include "explore/invariants.h"
 #include "sim/adversaries.h"
+#include "test_util.h"
 
 namespace unidir::explore {
 namespace {
@@ -22,7 +23,7 @@ Command cmd_of(ProcessId client, std::uint64_t rid, const char* key = "k") {
   Command c;
   c.client = client;
   c.request_id = rid;
-  c.op = KvStateMachine::put_op(key, "v" + std::to_string(rid));
+  c.op = KvStateMachine::put_op(key, testutil::numbered("v", rid));
   return c;
 }
 

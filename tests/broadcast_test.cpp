@@ -239,7 +239,7 @@ TEST(Bracha, EquivocatingSenderCannotSplitDelivery) {
     w.run_to_quiescence();
     // Agreement: all correct processes that delivered seq 1 from the
     // Byzantine sender delivered the same value.
-    std::set<Bytes> delivered_values;
+    std::set<Bytes, BytesLess> delivered_values;
     for (auto& ep : eps)
       for (const Delivery& d : ep->delivered())
         if (d.sender == byz.id()) delivered_values.insert(d.message);
@@ -344,7 +344,7 @@ TEST(NonEqBroadcast, EquivocatorCausesBotOrSingleValue) {
     }
     w.start();
     w.run_to_quiescence();
-    std::set<Bytes> committed_values;
+    std::set<Bytes, BytesLess> committed_values;
     for (auto& b : bcasts) {
       ASSERT_TRUE(b->committed()) << "seed " << seed;
       if (b->value()) committed_values.insert(*b->value());

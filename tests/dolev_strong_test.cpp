@@ -219,7 +219,7 @@ TEST(StrongAgreement, MixedInputsStillAgree) {
     }
     w.start();
     w.run_to_quiescence();
-    std::set<Bytes> committed;
+    std::set<Bytes, BytesLess> committed;
     for (auto* node : nodes) {
       ASSERT_TRUE(node->sa->committed()) << "seed " << seed;
       committed.insert(node->sa->value());

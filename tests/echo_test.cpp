@@ -120,7 +120,7 @@ TEST(EchoBroadcast, ConsistencyUnderEquivocatingSender) {
           w.spawn<Node>(), kCh, 7, 2));
     w.start();
     w.run_to_quiescence();
-    std::set<Bytes> delivered;
+    std::set<Bytes, BytesLess> delivered;
     for (auto& ep : eps)
       for (const Delivery& d : ep->delivered())
         if (d.sender == byz.id()) delivered.insert(d.message);
@@ -154,7 +154,7 @@ TEST(EchoBroadcast, NoTotalityUnlikeBracha) {
   EXPECT_EQ(eps[2]->delivered_up_to(0), 0u);  // never will — no totality
   EXPECT_EQ(eps[3]->delivered_up_to(0), 0u);
   // Consistency must still hold.
-  std::set<Bytes> values;
+  std::set<Bytes, BytesLess> values;
   for (auto& ep : eps)
     for (const Delivery& d : ep->delivered()) values.insert(d.message);
   EXPECT_EQ(values.size(), 1u);

@@ -25,6 +25,7 @@
 #include "runtime/fault.h"
 #include "sim/adversaries.h"
 #include "sim/world.h"
+#include "test_util.h"
 
 namespace unidir {
 namespace {
@@ -315,7 +316,7 @@ TEST(FaultPlanSweep, MinBftCompletesAndStaysConsistentUnderFaults) {
     copt.resend_jitter = 16;
     auto& client = world.spawn<SmrClient>(copt);
     for (int k = 0; k < 6; ++k)
-      client.submit(KvStateMachine::put_op("k" + std::to_string(k), "v"));
+      client.submit(KvStateMachine::put_op(testutil::numbered("k", k), "v"));
     world.start();
     // Under message LOSS, quiescence is not guaranteed — a replica that
     // missed a commit quorum and sees no further traffic retries view
@@ -361,7 +362,7 @@ TEST(FaultPlanSweep, PbftCompletesAndStaysConsistentUnderFaults) {
     copt.resend_jitter = 16;
     auto& client = world.spawn<SmrClient>(copt);
     for (int k = 0; k < 6; ++k)
-      client.submit(KvStateMachine::put_op("k" + std::to_string(k), "v"));
+      client.submit(KvStateMachine::put_op(testutil::numbered("k", k), "v"));
     world.start();
     ASSERT_TRUE(world.run_until([&] { return client.completed() >= 6; }))
         << "seed " << seed << ": workload never completed";
@@ -439,7 +440,7 @@ TEST(FaultPlanSweep, SameWorldSeedAndPlanReproduceTheSameRun) {
     copt.resend_timeout = 100;
     auto& client = world.spawn<SmrClient>(copt);
     for (int k = 0; k < 4; ++k)
-      client.submit(KvStateMachine::put_op("k" + std::to_string(k), "v"));
+      client.submit(KvStateMachine::put_op(testutil::numbered("k", k), "v"));
     world.start();
     EXPECT_TRUE(world.run_until([&] { return client.completed() >= 4; }));
     return std::make_pair(*world.fault_stats(),

@@ -3,6 +3,7 @@
 #include "agreement/minbft.h"
 #include "agreement/state_machines.h"
 #include "sim/adversaries.h"
+#include "test_util.h"
 
 namespace unidir::agreement {
 namespace {
@@ -78,7 +79,7 @@ TEST_P(MinBftSweep, AllRequestsCompleteConsistently) {
   for (std::size_t i = 0; i < p.clients; ++i)
     for (int k = 0; k < p.ops_per_client; ++k)
       c.clients[i]->submit(KvStateMachine::put_op(
-          "key" + std::to_string(k), "c" + std::to_string(i)));
+          testutil::numbered("key", k), testutil::numbered("c", i)));
   c.world.start();
   c.world.run_to_quiescence();
   for (auto* cl : c.clients)
@@ -115,7 +116,7 @@ TEST(MinBft, PrimaryCrashTriggersViewChangeAndRecovers) {
     Cluster c(3, 1, 1, seed);
     for (int k = 0; k < 4; ++k)
       c.clients[0]->submit(
-          KvStateMachine::put_op("k" + std::to_string(k), "v"));
+          KvStateMachine::put_op(testutil::numbered("k", k), "v"));
     c.world.start();
     // Let some requests through, then kill the view-0 primary.
     c.world.run_until([&] { return c.clients[0]->completed() >= 1; });

@@ -7,6 +7,7 @@
 #include "rounds/checkers.h"
 #include "rounds/object_uni_round.h"
 #include "sim/adversaries.h"
+#include "test_util.h"
 
 namespace unidir::rounds {
 namespace {
@@ -22,7 +23,7 @@ class Runner final : public sim::Process {
  private:
   void go() {
     if (driver->completed_rounds() >= static_cast<RoundNum>(target)) return;
-    driver->start_round(bytes_of("p" + std::to_string(id())),
+    driver->start_round(bytes_of(testutil::numbered("p", id())),
                         [this](RoundNum, const std::vector<Received>&) {
                           go();
                         });

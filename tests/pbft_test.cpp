@@ -3,6 +3,7 @@
 #include "agreement/pbft.h"
 #include "agreement/state_machines.h"
 #include "sim/adversaries.h"
+#include "test_util.h"
 
 namespace unidir::agreement {
 namespace {
@@ -76,7 +77,7 @@ TEST_P(PbftSweep, AllRequestsCompleteConsistently) {
   for (std::size_t i = 0; i < p.clients; ++i)
     for (int k = 0; k < p.ops_per_client; ++k)
       c.clients[i]->submit(KvStateMachine::put_op(
-          "key" + std::to_string(k), "c" + std::to_string(i)));
+          testutil::numbered("key", k), testutil::numbered("c", i)));
   c.world.start();
   c.world.run_to_quiescence();
   for (auto* cl : c.clients)

@@ -348,7 +348,7 @@ TEST(CrashRecoveryMinBft, RestartedBackupCatchesUpViaStateTransfer) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     MinBftRecoveryCluster c(seed);
     for (int k = 0; k < 8; ++k)
-      c.client->submit(KvStateMachine::put_op("k" + std::to_string(k), "v"));
+      c.client->submit(KvStateMachine::put_op(testutil::numbered("k", k), "v"));
     c.world.start();
     c.world.run_until([&] { return c.client->completed() >= 2; });
     c.world.crash(2);
@@ -369,7 +369,7 @@ TEST(CrashRecoveryMinBft, RestartedPrimaryRejoinsWithoutEquivocating) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     MinBftRecoveryCluster c(seed);
     for (int k = 0; k < 8; ++k)
-      c.client->submit(KvStateMachine::put_op("k" + std::to_string(k), "v"));
+      c.client->submit(KvStateMachine::put_op(testutil::numbered("k", k), "v"));
     c.world.start();
     c.world.run_until([&] { return c.client->completed() >= 2; });
     c.world.crash(0);  // the view-0 primary
@@ -386,7 +386,7 @@ TEST(CrashRecoveryMinBft, RestartedPrimaryRejoinsWithoutEquivocating) {
 TEST(CrashRecoveryMinBft, ArchivePrunesAtStableCheckpoint) {
   MinBftRecoveryCluster c(3, 3, /*checkpoint_interval=*/2);
   for (int k = 0; k < 6; ++k)
-    c.client->submit(KvStateMachine::put_op("k" + std::to_string(k), "v"));
+    c.client->submit(KvStateMachine::put_op(testutil::numbered("k", k), "v"));
   c.world.start();
   c.world.run_to_quiescence();
   for (auto* r : c.replicas) {
@@ -436,7 +436,7 @@ TEST(CrashRecoveryPbft, RestartedBackupCatchesUpViaStateTransfer) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     PbftRecoveryCluster c(seed);
     for (int k = 0; k < 8; ++k)
-      c.client->submit(KvStateMachine::put_op("k" + std::to_string(k), "v"));
+      c.client->submit(KvStateMachine::put_op(testutil::numbered("k", k), "v"));
     c.world.start();
     c.world.run_until([&] { return c.client->completed() >= 2; });
     c.world.crash(3);
@@ -460,7 +460,7 @@ TEST(CrashRecoveryPbft, RestartedPrimaryDoesNotReuseSequenceNumbers) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     PbftRecoveryCluster c(seed);
     for (int k = 0; k < 8; ++k)
-      c.client->submit(KvStateMachine::put_op("k" + std::to_string(k), "v"));
+      c.client->submit(KvStateMachine::put_op(testutil::numbered("k", k), "v"));
     c.world.start();
     c.world.run_until([&] { return c.client->completed() >= 2; });
     c.world.crash(0);
@@ -477,7 +477,7 @@ TEST(CrashRecoveryPbft, RestartedPrimaryDoesNotReuseSequenceNumbers) {
 TEST(CrashRecoveryPbft, ArchivePrunesAtStableCheckpoint) {
   PbftRecoveryCluster c(7, 4, /*checkpoint_interval=*/2);
   for (int k = 0; k < 6; ++k)
-    c.client->submit(KvStateMachine::put_op("k" + std::to_string(k), "v"));
+    c.client->submit(KvStateMachine::put_op(testutil::numbered("k", k), "v"));
   c.world.start();
   c.world.run_to_quiescence();
   for (auto* r : c.replicas) {

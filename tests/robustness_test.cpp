@@ -48,7 +48,7 @@ TEST(Replay, SrbHubCopiesAreHarmlesslyIdempotent) {
   w.mark_byzantine(attacker.id());
   w.start();
   for (int k = 0; k < 5; ++k)
-    eps[0]->broadcast(bytes_of("m" + std::to_string(k)));
+    eps[0]->broadcast(bytes_of(testutil::numbered("m", k)));
   w.run_to_quiescence();
   for (auto& ep : eps) {
     EXPECT_EQ(ep->delivered().size(), 5u);
@@ -73,7 +73,7 @@ TEST(Replay, MinBftExecutesExactlyOnceUnderProtocolReplay) {
   copt.f = 1;
   auto& client = w.spawn<agreement::SmrClient>(copt);
   for (int k = 0; k < 4; ++k)
-    client.submit(agreement::KvStateMachine::put_op("k" + std::to_string(k),
+    client.submit(agreement::KvStateMachine::put_op(testutil::numbered("k", k),
                                                     "v"));
   w.start();
   w.run_to_quiescence();
@@ -108,7 +108,7 @@ TEST(Duplication, SrbHubStaysExactlyOnce) {
     eps.push_back(hub.make_endpoint(w.spawn<Node>()));
   w.start();
   for (int k = 0; k < 8; ++k)
-    eps[1]->broadcast(bytes_of("m" + std::to_string(k)));
+    eps[1]->broadcast(bytes_of(testutil::numbered("m", k)));
   w.run_to_quiescence();
   EXPECT_GT(w.network().stats().messages_duplicated, 0u);
   for (auto& ep : eps) EXPECT_EQ(ep->delivered().size(), 8u);
@@ -143,7 +143,7 @@ TEST(Duplication, MinBftStaysExactlyOnceAndConsistent) {
     auto& client = w.spawn<agreement::SmrClient>(copt);
     for (int k = 0; k < 4; ++k)
       client.submit(
-          agreement::KvStateMachine::put_op("k" + std::to_string(k), "v"));
+          agreement::KvStateMachine::put_op(testutil::numbered("k", k), "v"));
     w.start();
     w.run_to_quiescence();
     EXPECT_EQ(client.completed(), 4u) << "seed " << seed;
@@ -176,8 +176,8 @@ std::vector<Bytes> run_minbft_digest(std::uint64_t seed) {
   copt.f = 1;
   auto& client = w.spawn<agreement::SmrClient>(copt);
   for (int k = 0; k < 6; ++k)
-    client.submit(agreement::KvStateMachine::put_op("k" + std::to_string(k),
-                                                    "v" + std::to_string(k)));
+    client.submit(agreement::KvStateMachine::put_op(
+        testutil::numbered("k", k), testutil::numbered("v", k)));
   w.start();
   w.run_until([&] { return client.completed() >= 2; });
   w.crash(0);  // include a fault + view change in the determinism check

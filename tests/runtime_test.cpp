@@ -112,31 +112,26 @@ TEST(RuntimeStats, TransportHealthFieldsDefaultClean) {
 
 TEST(RuntimeShards, SingleLoopBackendsReportOneShardAndRouteArmFor) {
   // The shard interface must be callable uniformly: a single-loop backend
-  // is one shard, never reports a calling shard, aggregates into
-  // shard_stats(0), and arm_for degenerates to a plain clock arm.
-  SimRuntime rt(/*seed=*/1, std::make_unique<sim::ImmediateAdversary>());
-  EXPECT_EQ(rt.execution_shards(), 1u);
-  EXPECT_EQ(rt.calling_shard(), kNoShard);
-  bool fired = false;
-  rt.arm_for(/*owner=*/3, 1, [&fired] { fired = true; });
-  rt.run(SIZE_MAX);
-  EXPECT_TRUE(fired);
-  EXPECT_EQ(rt.shard_stats(0).executed, rt.stats().executed);
-}
-
-TEST(RuntimeShards, ShardedRealBackendSplitsStatsByShard) {
-  RealRuntimeOptions o = loopback_options();
-  o.shards = 2;
-  RealRuntime rt(o);
-  EXPECT_EQ(rt.execution_shards(), 2u);
-  EXPECT_EQ(rt.calling_shard(), kNoShard);  // not a loop thread
-  // Three timers for owner 0 (shard 0), one for owner 1 (shard 1).
-  for (int i = 0; i < 3; ++i) rt.arm_for(0, 1, [] {});
-  rt.arm_for(1, 1, [] {});
-  rt.run(SIZE_MAX);
-  EXPECT_EQ(rt.shard_stats(0).executed, 3u);
-  EXPECT_EQ(rt.shard_stats(1).executed, 1u);
-  EXPECT_EQ(rt.stats().executed, 4u);  // the aggregate is the sum
+  // is one shard, never reports a calling shard (not even from inside its
+  // own loop), aggregates into shard_stats(0), and arm_for degenerates to
+  // a plain clock arm. Both backends are single-loop.
+  SimRuntime sim_rt(/*seed=*/1, std::make_unique<sim::ImmediateAdversary>());
+  RealRuntime real_rt(loopback_options());
+  for (Runtime* rt : {static_cast<Runtime*>(&sim_rt),
+                      static_cast<Runtime*>(&real_rt)}) {
+    SCOPED_TRACE(rt->real_time() ? "RealRuntime" : "SimRuntime");
+    EXPECT_EQ(rt->execution_shards(), 1u);
+    EXPECT_EQ(rt->calling_shard(), kNoShard);
+    std::size_t shard_in_handler = 0;
+    rt->arm_for(/*owner=*/3, 1, [rt, &shard_in_handler] {
+      shard_in_handler = rt->calling_shard();
+    });
+    rt->arm_for(/*owner=*/4, 1, [] {});
+    rt->run(SIZE_MAX);
+    EXPECT_EQ(shard_in_handler, kNoShard);
+    EXPECT_EQ(rt->stats().executed, 2u);
+    EXPECT_EQ(rt->shard_stats(0).executed, rt->stats().executed);
+  }
 }
 
 // ---- Clock::cancel ---------------------------------------------------------

@@ -280,7 +280,7 @@ class UniEquivocator final : public sim::Process {
 
   SignedVal left_;
   SignedVal right_;
-  std::map<Bytes, std::map<ProcessId, CopyVote>> harvested_;
+  std::map<Bytes, std::map<ProcessId, CopyVote>, BytesLess> harvested_;
 };
 
 TEST(UniSrb, EquivocatingSenderCannotSplitDeliveries) {
@@ -304,7 +304,7 @@ TEST(UniSrb, EquivocatingSenderCannotSplitDeliveries) {
 
     // SAFETY: the two correct victims must never deliver different values
     // for (byz, seq 1).
-    std::set<Bytes> delivered;
+    std::set<Bytes, BytesLess> delivered;
     for (auto* v : victims)
       for (const Delivery& d : v->srb->delivered())
         if (d.sender == byz.id() && d.seq == 1) delivered.insert(d.message);

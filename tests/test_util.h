@@ -2,6 +2,8 @@
 #pragma once
 
 #include <functional>
+#include <string>
+#include <string_view>
 
 #include "sim/world.h"
 
@@ -17,5 +19,15 @@ class Node final : public sim::Process {
     if (on_start_fn) on_start_fn();
   }
 };
+
+/// `prefix` followed by the decimal digits of `n` ("k", 3 -> "k3"). Built
+/// by appending: at -O2, GCC 12 misreports `"k" + std::to_string(n)` — a
+/// literal plus a temporary string — as an overlapping memcpy (-Wrestrict).
+template <typename Int>
+std::string numbered(std::string_view prefix, Int n) {
+  std::string s(prefix);
+  s += std::to_string(n);
+  return s;
+}
 
 }  // namespace unidir::testutil

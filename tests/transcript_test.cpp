@@ -2,6 +2,7 @@
 
 #include "sim/adversaries.h"
 #include "sim/world.h"
+#include "test_util.h"
 
 namespace unidir::sim {
 namespace {
@@ -122,7 +123,7 @@ class Pusher final : public Process {
  protected:
   void on_start() override {
     for (int i = 0; i < count_; ++i)
-      send(1, kData, bytes_of("m" + std::to_string(i)));
+      send(1, kData, bytes_of(testutil::numbered("m", i)));
   }
 
  private:

@@ -159,7 +159,8 @@ TEST(TrincFromSrb, ConcurrentAttestersDoNotInterfere) {
   for (std::size_t i = 0; i < 5; ++i)
     for (SeqNum c = 1; c <= 3; ++c)
       all.push_back(*fx.trincs[i]->attest(
-          c, bytes_of("p" + std::to_string(i) + "c" + std::to_string(c))));
+          c, bytes_of(testutil::numbered("p", i) +
+                      testutil::numbered("c", c))));
   fx.world.run_to_quiescence();
   for (auto& t : fx.trincs)
     for (const auto& a : all) EXPECT_TRUE(t->check(a, a.owner));

@@ -6,6 +6,7 @@
 #include "trusted/sgx.h"
 #include "trusted/trinc.h"
 #include "trusted/usig.h"
+#include "test_util.h"
 
 namespace unidir::trusted {
 namespace {
@@ -51,7 +52,7 @@ TEST_F(TrincFixture, NonEquivocationNoTwoMessagesOneCounter) {
   const auto first = t.attest(3, bytes_of("m"));
   ASSERT_TRUE(first.has_value());
   for (int i = 0; i < 10; ++i)
-    EXPECT_FALSE(t.attest(3, bytes_of("m" + std::to_string(i))).has_value());
+    EXPECT_FALSE(t.attest(3, bytes_of(testutil::numbered("m", i))).has_value());
 }
 
 TEST_F(TrincFixture, CheckRejectsWrongOwner) {
@@ -379,7 +380,7 @@ TEST(Usig, NonEquivocationTwoMessagesNeverShareACounter) {
   UsigEnclave usig(keys);
   std::set<SeqNum> counters;
   for (int i = 0; i < 50; ++i) {
-    const auto ui = usig.create_ui(bytes_of("m" + std::to_string(i)));
+    const auto ui = usig.create_ui(bytes_of(testutil::numbered("m", i)));
     EXPECT_TRUE(counters.insert(ui.counter).second)
         << "counter " << ui.counter << " reused";
   }

@@ -32,7 +32,7 @@ class VwaNode final : public sim::Process {
 /// Agreement modulo ⊥: the set of non-⊥ committed values has size <= 1.
 void expect_vwa_agreement(const std::vector<VwaNode*>& nodes,
                           const sim::World& w, const char* context) {
-  std::set<Bytes> committed;
+  std::set<Bytes, BytesLess> committed;
   for (const VwaNode* n : nodes) {
     if (!w.correct(n->id())) continue;
     ASSERT_TRUE(n->vwa->committed()) << context;
@@ -153,7 +153,7 @@ TEST(VeryWeakAgreement, ZeroDirectionalRoundsViolateAgreement) {
   }
   w.start();
   w.run_to_quiescence();
-  std::set<Bytes> committed;
+  std::set<Bytes, BytesLess> committed;
   for (auto* n : nodes) {
     ASSERT_TRUE(n->vwa->committed());
     if (n->vwa->value()) committed.insert(*n->vwa->value());

@@ -50,7 +50,7 @@ TEST_P(WeakAgreementP, AgreementTerminationAndWeakValidity) {
   world.run_to_quiescence();
 
   ASSERT_TRUE(cluster.all_committed(world));
-  std::set<Bytes> committed;
+  std::set<Bytes, BytesLess> committed;
   for (std::size_t i = 0; i < c.n; ++i) committed.insert(*cluster.value_of(i));
   EXPECT_EQ(committed.size(), 1u);  // agreement
   if (c.same_inputs) {
@@ -85,7 +85,7 @@ TEST(WeakAgreement, ToleratesCorruptMinorityCrashes) {
   world.start();
   world.run_to_quiescence();
 
-  std::set<Bytes> committed;
+  std::set<Bytes, BytesLess> committed;
   for (std::size_t i = 1; i < 5; ++i) {
     ASSERT_TRUE(cluster.value_of(i).has_value()) << "party " << i;
     committed.insert(*cluster.value_of(i));

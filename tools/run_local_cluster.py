@@ -11,11 +11,9 @@ in-process test can provide.
 Usage:
     python3 tools/run_local_cluster.py [--binary build/examples/minbft_kv]
         [--replicas 4] [--requests 8] [--timeout-s 60]
-        [--shards 1] [--recv-batch 32] [--send-batch 64]
+        [--recv-batch 32] [--send-batch 64]
 
---shards/--recv-batch/--send-batch are passed through to every process:
-CI runs the cluster once with defaults and once with --shards 2 to cover
-the sharded event loops across real OS processes.
+--recv-batch/--send-batch are passed through to every process.
 
 Exit status: the client's (0 iff every request committed), or 1 on
 launch/teardown failures.
@@ -53,7 +51,6 @@ def main():
     parser.add_argument("--requests", type=int, default=8)
     parser.add_argument("--timeout-s", type=int, default=60)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--shards", type=int, default=1)
     parser.add_argument("--recv-batch", type=int, default=32)
     parser.add_argument("--send-batch", type=int, default=64)
     args = parser.parse_args()
@@ -83,7 +80,6 @@ def main():
             "--requests", str(args.requests),
             "--seed", str(args.seed),
             "--timeout-s", str(args.timeout_s),
-            "--shards", str(args.shards),
             "--recv-batch", str(args.recv_batch),
             "--send-batch", str(args.send_batch),
         ]
